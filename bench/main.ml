@@ -626,41 +626,24 @@ let serve_section () =
       ~events:(pick ~quick:2_000 ~standard:10_000 ~paper:40_000)
       ~scrapes:(pick ~quick:50 ~standard:200 ~paper:500)
 
-(* serve_mt: the pooled/sharded serving soak with its latency histogram,
-   p99 gate and (on >=4 cores at gating scales) the 3x throughput gate.
+(* serve_mt, serve_trace, serve_gc: [Serve_load]'s keyed keep-alive soak
+   under its three toggles — the sequential baseline against the pooled
+   stack (latency histogram, p99 gate, 3x throughput gate), tail capture
+   off then on (per-stage latency, <10% overhead gate) and the GC-pause
+   poller off then on (pause percentiles, attribution, <5% overhead
+   gate). The wall-clock gates arm only at gating scales on >=4 cores.
    Post-trace for the same compare-parity reason as serve. *)
-let serve_mt_stats : (string * Report.Json.t) list ref = ref []
+let soak_stats : (string * Report.Json.t) list ref = ref []
 
-let serve_mt_section () =
-  serve_mt_stats :=
-    Serve_load.run_mt
-      ~events:(pick ~quick:4_000 ~standard:20_000 ~paper:60_000)
-      ~gate:(match !scale with Standard | Paper -> true | Smoke | Quick -> false)
-
-(* serve_trace: the request-capture overhead check — the same pooled
-   keep-alive soak with tail capture off then on, the per-stage latency
-   decomposition, and (on >=4 cores at gating scales) the <10% overhead
-   gate. Post-trace for the same compare-parity reason as serve. *)
-let serve_trace_stats : (string * Report.Json.t) list ref = ref []
-
-let serve_trace_section () =
-  serve_trace_stats :=
-    Serve_load.run_trace
-      ~events:(pick ~quick:4_000 ~standard:20_000 ~paper:60_000)
-      ~gate:(match !scale with Standard | Paper -> true | Smoke | Quick -> false)
-
-(* serve_gc: the runtime-events profiling check — the same pooled
-   keep-alive soak with the GC-pause poller off then on, pause
-   percentiles and per-request attribution totals, and (on >=4 cores at
-   gating scales) the <5% poller-overhead gate. Post-trace for the same
-   compare-parity reason as serve. *)
-let serve_gc_stats : (string * Report.Json.t) list ref = ref []
-
-let serve_gc_section () =
-  serve_gc_stats :=
-    Serve_load.run_gc
-      ~events:(pick ~quick:4_000 ~standard:20_000 ~paper:60_000)
-      ~gate:(match !scale with Standard | Paper -> true | Smoke | Quick -> false)
+let soak_section name run =
+  section name (fun () ->
+      let fields =
+        run
+          ~events:(pick ~quick:4_000 ~standard:20_000 ~paper:60_000)
+          ~gate:
+            (match !scale with Standard | Paper -> true | Smoke | Quick -> false)
+      in
+      soak_stats := !soak_stats @ [ (name, Report.Json.Obj fields) ])
 
 (* --- detect: the streaming detector, naive oracle vs compiled plan ---
 
@@ -763,15 +746,7 @@ let write_report () =
       @ (match !serve_stats with
         | [] -> []
         | fields -> [ ("serve", Obj fields) ])
-      @ (match !serve_mt_stats with
-        | [] -> []
-        | fields -> [ ("serve_mt", Obj fields) ])
-      @ (match !serve_trace_stats with
-        | [] -> []
-        | fields -> [ ("serve_trace", Obj fields) ])
-      @ (match !serve_gc_stats with
-        | [] -> []
-        | fields -> [ ("serve_gc", Obj fields) ])
+      @ !soak_stats
       @
       match !detect_stats with
       | [] -> []
@@ -804,8 +779,8 @@ let () =
      serve's counter traffic out of the report. *)
   section "trace" trace_section;
   section "serve" serve_section;
-  section "serve_mt" serve_mt_section;
-  section "serve_trace" serve_trace_section;
-  section "serve_gc" serve_gc_section;
+  soak_section "serve_mt" Serve_load.run_mt;
+  soak_section "serve_trace" Serve_load.run_trace;
+  soak_section "serve_gc" Serve_load.run_gc;
   section "detect" detect_section;
   write_report ()

@@ -117,17 +117,22 @@ let run ~events ~scrapes =
     ("scrape_us_per_call", Report.Json.Float scrape_us);
   ]
 
-(* --- serve_mt: the multi-core soak ---
+(* --- serve_mt, serve_trace, serve_gc: one soak, three toggles ---
 
-   Replays the same keyed stream twice: once through the sequential
-   baseline (inline single-shard service behind the one-thread accept
-   loop) and once through the pooled stack (serve_pool workers +
-   threaded detector shards), with one keep-alive client domain per
-   worker. Each POST's round-trip is timed client-side; the merged
-   latency distribution is printed as a histogram and gated on p99.
-   The >=3x throughput gate only arms on >=4 cores at standard scale —
-   on fewer cores the pooled stack cannot beat the baseline by
-   parallelism and the ratio is reported without gating. *)
+   Each section replays a keyed stream twice through [soak] and compares
+   the two replays. serve_mt toggles the topology: the sequential
+   baseline (one HTTP worker over one inline shard, one client) against
+   the pooled stack (one worker and one threaded shard per core, 2 to 8,
+   with one keep-alive client domain per worker). serve_trace and
+   serve_gc replay the pooled stack with tail capture, or runtime-events
+   profiling, off (the deployment default) and then on. Each section's
+   checks probe its second replay's server while it is still up.
+
+   serve_mt times every POST client-side and gates the merged p99; its
+   >=3x throughput gate, like the overhead gates of the other two, is a
+   wall-clock comparison and arms only on >=4 cores at standard scale —
+   on fewer cores the client domains time-share with the server and
+   scheduler noise swamps what the gate measures. *)
 
 let mt_query () =
   match Pattern.Parse.pattern_set "SEQ(E1, E2) WITHIN 20" with
@@ -173,6 +178,141 @@ let mt_feed ~port ~client ~events =
   Serve.Http.Client.close conn;
   !lats
 
+(* One replay: the service behind [workers] HTTP workers over as many
+   shards (threaded above one, as in `whynot serve`), one keep-alive
+   client domain per worker feeding [per_client] lines, then [check port]
+   while the server is still up. Returns the check's result, every
+   POST's latency and the feed's wall time. *)
+let soak ~check ~workers ~per_client =
+  let service =
+    Serve.Service.create ~max_partials:512 ~shards:workers
+      ~threaded:(workers > 1) (mt_query ())
+  in
+  let server = Serve.Http.listen ~port:0 () in
+  let port = Serve.Http.port server in
+  let http =
+    Domain.spawn (fun () ->
+        Serve.Http.serve ~workers server (Serve.Service.handle service))
+  in
+  let latencies, dt =
+    E.Harness.time (fun () ->
+        List.init workers (fun c ->
+            Domain.spawn (fun () ->
+                mt_feed ~port ~client:(c + 1) ~events:per_client))
+        |> List.concat_map Domain.join)
+  in
+  let checked = check port in
+  Serve.Http.stop server;
+  Domain.join http;
+  Serve.Service.shutdown service;
+  (checked, latencies, dt)
+
+(* The pooled stack every section replays: [(cores, workers,
+   per_client)] for [events] lines. *)
+let pool_shape ~events =
+  let cores = Domain.recommended_domain_count () in
+  let workers = max 2 (min cores 8) in
+  (cores, workers, events / workers)
+
+let shape_json ~events ~cores ~workers =
+  [
+    ("events", Report.Json.Int events);
+    ("cores", Report.Json.Int cores);
+    ("workers", Report.Json.Int workers);
+    ("shards", Report.Json.Int workers);
+  ]
+
+let wall_gate ~gate ~cores verdict =
+  if not gate then "skipped (sub-standard scale)"
+  else if cores < 4 then
+    Printf.sprintf "skipped (%d core(s) available, need 4)" cores
+  else verdict ()
+
+(* serve_trace and serve_gc: the second replay's cost over the first,
+   gated at [budget_pct]; prints both replays and returns the JSON
+   fields. *)
+let overhead_fields ~section ~label ~what ~budget_pct ~gate ~cores ~events
+    off_dt on_dt =
+  let overhead_pct = (on_dt -. off_dt) /. off_dt *. 100.0 in
+  Format.printf
+    "%s off: %d event(s) in %.3f s@.%s on:  %d event(s) in %.3f s — overhead \
+     %+.2f%%@."
+    label events off_dt label events on_dt overhead_pct;
+  let overhead_gate =
+    wall_gate ~gate ~cores (fun () ->
+        if overhead_pct > budget_pct then
+          failwith
+            (Printf.sprintf "%s: %s %+.2f%% over budget %.0f%%" section what
+               overhead_pct budget_pct)
+        else
+          Printf.sprintf "passed (%+.2f%% <= %.0f%%)" overhead_pct budget_pct)
+  in
+  Format.printf "overhead gate: %s@." overhead_gate;
+  [
+    ("off_seconds", Report.Json.Float off_dt);
+    ("on_seconds", Report.Json.Float on_dt);
+    ("overhead_pct", Report.Json.Float overhead_pct);
+    ("overhead_budget_pct", Report.Json.Float budget_pct);
+    ("overhead_gate", Report.Json.String overhead_gate);
+  ]
+
+let contains ~needle hay =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+  in
+  nn = 0 || go 0
+
+(* GET [path] on [port] and require 200 plus every needle in the body. *)
+let probe ~section ~port path needles =
+  match Serve.Http.get ~port path with
+  | Ok (200, body) ->
+      List.iter
+        (fun (needle, what) ->
+          if not (contains ~needle body) then
+            failwith (Printf.sprintf "%s: %s %s" section path what))
+        needles
+  | Ok (st, _) -> failwith (Printf.sprintf "%s: %s HTTP %d" section path st)
+  | Error msg -> failwith (Printf.sprintf "%s: %s: %s" section path msg)
+
+(* [name]'s observations since [before], a snapshot taken ahead of the
+   replay (earlier sections feed the same series): count, sum and
+   per-bucket counts. *)
+let hist_delta ~section name before =
+  let after =
+    match Obs.find_histogram name with
+    | Some h -> h
+    | None -> failwith (Printf.sprintf "%s: histogram missing: %s" section name)
+  in
+  match before with
+  | None -> (after.Obs.h_count, after.Obs.h_sum, after.Obs.h_buckets)
+  | Some b ->
+      ( after.Obs.h_count - b.Obs.h_count,
+        after.Obs.h_sum - b.Obs.h_sum,
+        List.map2
+          (fun (bound, ca) (_, cb) -> (bound, ca - cb))
+          after.Obs.h_buckets b.Obs.h_buckets )
+
+(* Upper bound (us) of the first bucket at which the cumulative count
+   reaches p% of [total]; the +inf overflow bucket reports the largest
+   finite bound (so the value is a floor there, never an invention). *)
+let bucket_percentile_us buckets total p =
+  if total = 0 then 0.0
+  else
+    let target =
+      max 1 (int_of_float (Float.ceil (p /. 100.0 *. float_of_int total)))
+    in
+    let rec go acc last = function
+      | [] -> last
+      | (bound, count) :: rest ->
+          let here =
+            match bound with Some b -> float_of_int b | None -> last
+          in
+          let acc = acc + count in
+          if acc >= target then here else go acc here rest
+    in
+    go 0 0.0 buckets
+
 let percentile_ms sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.0
@@ -184,80 +324,43 @@ let latency_bounds_ms = [ 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0 ]
 
 let p99_budget_ms = 500.0
 
+(* The keep-alive saving, measured against the quiet sequential server so
+   pool scheduling noise stays out of it: /health with a fresh connection
+   per request vs the same count over one kept-alive connection.
+   Per-request medians, not means — on a loaded box a single
+   descheduling outlier would otherwise swamp the ~tens of microseconds
+   of connect/accept/teardown that keep-alive removes. *)
+let keepalive_saving port =
+  let ka_reqs = 80 in
+  let median_us check =
+    let samples =
+      Array.init ka_reqs (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          (match check () with
+          | Ok (200, _) -> ()
+          | Ok (st, _) -> failwith (Printf.sprintf "serve_mt health HTTP %d" st)
+          | Error msg -> failwith ("serve_mt health: " ^ msg));
+          Unix.gettimeofday () -. t0)
+    in
+    Array.sort Float.compare samples;
+    samples.(ka_reqs / 2) *. 1e6
+  in
+  let fresh_us = median_us (fun () -> Serve.Http.get ~port "/health") in
+  let conn = Serve.Http.Client.connect ~port in
+  let reused_us = median_us (fun () -> Serve.Http.Client.get conn "/health") in
+  Serve.Http.Client.close conn;
+  (fresh_us, reused_us)
+
 let run_mt ~events ~gate =
-  let query = mt_query () in
-  let cores = Domain.recommended_domain_count () in
-  let workers = max 2 (min cores 8) in
-  let shards = workers in
+  let cores, workers, per_client = pool_shape ~events in
+  let pooled_events = per_client * workers in
   let lines0 =
     Option.value ~default:0 (Obs.find_counter "serve.ingest.lines")
   in
-  (* sequential baseline: inline single-shard service, one-thread loop *)
-  let baseline_dt, fresh_us, reused_us =
-    let service = Serve.Service.create ~max_partials:512 query in
-    let server = Serve.Http.listen ~port:0 () in
-    let port = Serve.Http.port server in
-    let d =
-      Domain.spawn (fun () ->
-          Serve.Http.serve server (Serve.Service.handle service))
-    in
-    let (), dt =
-      E.Harness.time (fun () -> ignore (mt_feed ~port ~client:0 ~events))
-    in
-    (* keep-alive saving, measured against the quiet sequential server so
-       pool scheduling noise stays out of it: /health with a fresh
-       connection per request vs the same count over one kept-alive
-       connection. Per-request medians, not means — on a loaded box a
-       single descheduling outlier would otherwise swamp the ~tens of
-       microseconds of connect/accept/teardown that keep-alive removes. *)
-    let ka_reqs = 80 in
-    let median_us check =
-      let samples =
-        Array.init ka_reqs (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            (match check () with
-            | Ok (200, _) -> ()
-            | Ok (st, _) ->
-                failwith (Printf.sprintf "serve_mt health HTTP %d" st)
-            | Error msg -> failwith ("serve_mt health: " ^ msg));
-            Unix.gettimeofday () -. t0)
-      in
-      Array.sort Float.compare samples;
-      samples.(ka_reqs / 2) *. 1e6
-    in
-    let fresh_us = median_us (fun () -> Serve.Http.get ~port "/health") in
-    let conn = Serve.Http.Client.connect ~port in
-    let reused_us = median_us (fun () -> Serve.Http.Client.get conn "/health") in
-    Serve.Http.Client.close conn;
-    Serve.Http.stop server;
-    Domain.join d;
-    Serve.Service.shutdown service;
-    (dt, fresh_us, reused_us)
+  let (fresh_us, reused_us), _, baseline_dt =
+    soak ~check:keepalive_saving ~workers:1 ~per_client:events
   in
-  (* pooled: worker domains over sharded detection, one client per worker *)
-  let per_client = events / workers in
-  let pooled_events = per_client * workers in
-  let service =
-    Serve.Service.create ~max_partials:512 ~shards ~threaded:true query
-  in
-  let server = Serve.Http.listen ~port:0 () in
-  let port = Serve.Http.port server in
-  let pool_d =
-    Domain.spawn (fun () ->
-        Serve.Http.serve_pool ~workers server (Serve.Service.handle service))
-  in
-  let (latencies, pooled_dt) =
-    E.Harness.time (fun () ->
-        let clients =
-          List.init workers (fun c ->
-              Domain.spawn (fun () ->
-                  mt_feed ~port ~client:(c + 1) ~events:per_client))
-        in
-        List.concat_map Domain.join clients)
-  in
-  Serve.Http.stop server;
-  Domain.join pool_d;
-  Serve.Service.shutdown service;
+  let (), latencies, pooled_dt = soak ~check:ignore ~workers ~per_client in
   (* both replays fully ingested, nothing shed *)
   let ingested =
     Option.value ~default:0 (Obs.find_counter "serve.ingest.lines") - lines0
@@ -288,7 +391,7 @@ let run_mt ~events ~gate =
     "baseline: %d event(s) in %.3f s (%.0f ev/s, 1 thread)@.pooled:   %d \
      event(s) in %.3f s (%.0f ev/s, %d worker(s) x %d shard(s)) — %.2fx@."
     events baseline_dt baseline_tput pooled_events pooled_dt pooled_tput
-    workers shards speedup;
+    workers workers speedup;
   Format.printf "request latency (%d POSTs): p50 %.2f ms, p99 %.2f ms@."
     (Array.length sorted) p50 p99;
   List.iter
@@ -298,383 +401,176 @@ let run_mt ~events ~gate =
     "keep-alive: %.1f us/req fresh connections, %.1f us/req reused (%.1f us \
      saved)@."
     fresh_us reused_us (fresh_us -. reused_us);
-  (* gates: p99 always; 3x throughput only on >=4 cores at gating scale *)
   if p99 > p99_budget_ms then
     failwith
       (Printf.sprintf "serve_mt: p99 request latency %.1f ms over budget %.1f"
          p99 p99_budget_ms);
   let throughput_gate =
-    if not gate then "skipped (sub-standard scale)"
-    else if cores < 4 then
-      Printf.sprintf "skipped (%d core(s) available, need 4)" cores
-    else if speedup < 3.0 then
-      failwith
-        (Printf.sprintf
-           "serve_mt: pooled throughput %.2fx baseline, gate requires 3x on \
-            %d cores"
-           speedup cores)
-    else Printf.sprintf "passed (%.2fx >= 3x)" speedup
+    wall_gate ~gate ~cores (fun () ->
+        if speedup < 3.0 then
+          failwith
+            (Printf.sprintf
+               "serve_mt: pooled throughput %.2fx baseline, gate requires 3x \
+                on %d cores"
+               speedup cores)
+        else Printf.sprintf "passed (%.2fx >= 3x)" speedup)
   in
   Format.printf "throughput gate: %s@." throughput_gate;
-  [
-    ("events", Report.Json.Int events);
-    ("cores", Report.Json.Int cores);
-    ("workers", Report.Json.Int workers);
-    ("shards", Report.Json.Int shards);
-    ("baseline_seconds", Report.Json.Float baseline_dt);
-    ("baseline_events_per_s", Report.Json.Float baseline_tput);
-    ("pooled_events", Report.Json.Int pooled_events);
-    ("pooled_seconds", Report.Json.Float pooled_dt);
-    ("pooled_events_per_s", Report.Json.Float pooled_tput);
-    ("speedup", Report.Json.Float speedup);
-    ("latency_p50_ms", Report.Json.Float p50);
-    ("latency_p99_ms", Report.Json.Float p99);
-    ("latency_p99_budget_ms", Report.Json.Float p99_budget_ms);
-    ( "latency_histogram_ms",
-      Report.Json.Obj
-        (List.map
-           (fun (le, n) ->
-             (Printf.sprintf "le_%g" le, Report.Json.Int n))
-           histogram) );
-    ("fresh_conn_us_per_req", Report.Json.Float fresh_us);
-    ("keepalive_us_per_req", Report.Json.Float reused_us);
-    ("keepalive_saving_us", Report.Json.Float (fresh_us -. reused_us));
-    ("throughput_gate", Report.Json.String throughput_gate);
-  ]
+  shape_json ~events ~cores ~workers
+  @ [
+      ("baseline_seconds", Report.Json.Float baseline_dt);
+      ("baseline_events_per_s", Report.Json.Float baseline_tput);
+      ("pooled_events", Report.Json.Int pooled_events);
+      ("pooled_seconds", Report.Json.Float pooled_dt);
+      ("pooled_events_per_s", Report.Json.Float pooled_tput);
+      ("speedup", Report.Json.Float speedup);
+      ("latency_p50_ms", Report.Json.Float p50);
+      ("latency_p99_ms", Report.Json.Float p99);
+      ("latency_p99_budget_ms", Report.Json.Float p99_budget_ms);
+      ( "latency_histogram_ms",
+        Report.Json.Obj
+          (List.map
+             (fun (le, n) -> (Printf.sprintf "le_%g" le, Report.Json.Int n))
+             histogram) );
+      ("fresh_conn_us_per_req", Report.Json.Float fresh_us);
+      ("keepalive_us_per_req", Report.Json.Float reused_us);
+      ("keepalive_saving_us", Report.Json.Float (fresh_us -. reused_us));
+      ("throughput_gate", Report.Json.String throughput_gate);
+    ]
 
-(* --- serve_trace: request-capture overhead and per-stage attribution ---
-
-   Replays the keyed keep-alive soak twice through the pooled stack:
-   once with tail capture disabled (the deployment default) and once
-   with capture on at threshold 0 — every request retained, the worst
-   case — then reports the wall-clock overhead and the per-stage
-   latency decomposition read back from the [*.duration_us] histograms
-   the request path feeds. The <10% overhead gate only arms on >=4
-   cores at gating scales: on fewer cores the client domains time-share
-   with the server pool and scheduler noise swamps the per-request cost
-   under measurement. *)
-
-let trace_stages =
-  [ "serve.request.queue_wait"; "serve.shard.service"; "serve.request.write" ]
-
-let overhead_budget_pct = 10.0
-
-let contains ~needle hay =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-  in
-  nn = 0 || go 0
-
-(* Upper bound (us) of the first bucket at which the cumulative count
-   reaches p% of [total]; the +inf overflow bucket reports the largest
-   finite bound (so the value is a floor there, never an invention). *)
-let bucket_percentile_us buckets total p =
-  if total = 0 then 0.0
-  else
-    let target =
-      max 1 (int_of_float (Float.ceil (p /. 100.0 *. float_of_int total)))
-    in
-    let rec go acc last = function
-      | [] -> last
-      | (bound, count) :: rest ->
-          let here =
-            match bound with Some b -> float_of_int b | None -> last
-          in
-          let acc = acc + count in
-          if acc >= target then here else go acc here rest
-    in
-    go 0 0.0 buckets
+(* serve_trace: capture off, then on at threshold 0 — every request
+   retained, the worst case — with the per-stage latency decomposition of
+   the capture-on replay read back from the [*.duration_us] histograms
+   the request path feeds. *)
+let trace_stages = [ "serve.shard.service"; "serve.request.write" ]
 
 let run_trace ~events ~gate =
-  let query = mt_query () in
-  let cores = Domain.recommended_domain_count () in
-  let workers = max 2 (min cores 8) in
-  let shards = workers in
-  let per_client = events / workers in
+  let cores, workers, per_client = pool_shape ~events in
   let pooled_events = per_client * workers in
-  (* One full soak: pooled server, one keep-alive client per worker.
-     With [check_slow], hit /debug/slow while the server is still up and
-     require a complete span tree in the answer. *)
-  let soak ~check_slow =
-    let service =
-      Serve.Service.create ~max_partials:512 ~shards ~threaded:true query
-    in
-    let server = Serve.Http.listen ~port:0 () in
-    let port = Serve.Http.port server in
-    let pool_d =
-      Domain.spawn (fun () ->
-          Serve.Http.serve_pool ~workers server (Serve.Service.handle service))
-    in
-    let (), dt =
-      E.Harness.time (fun () ->
-          let clients =
-            List.init workers (fun c ->
-                Domain.spawn (fun () ->
-                    ignore (mt_feed ~port ~client:(c + 1) ~events:per_client)))
-          in
-          List.iter Domain.join clients)
-    in
-    if check_slow then begin
-      match Serve.Http.get ~port "/debug/slow" with
-      | Ok (200, body) ->
-          List.iter
-            (fun span ->
-              if not (contains ~needle:span body) then
-                failwith
-                  (Printf.sprintf "serve_trace: /debug/slow lacks %s spans"
-                     span))
-            ("serve.request" :: trace_stages)
-      | Ok (st, _) -> failwith (Printf.sprintf "serve_trace: /debug/slow HTTP %d" st)
-      | Error msg -> failwith ("serve_trace: /debug/slow: " ^ msg)
-    end;
-    Serve.Http.stop server;
-    Domain.join pool_d;
-    Serve.Service.shutdown service;
-    dt
-  in
-  (* capture off: the near-zero-cost default *)
   Obs.Request.disable ();
-  let off_dt = soak ~check_slow:false in
-  (* capture on at threshold 0: every request's span tree retained *)
+  let (), _, off_dt = soak ~check:ignore ~workers ~per_client in
   Obs.Request.configure ~threshold_us:0 ~capacity:64 ();
   let before =
-    List.map
-      (fun name -> (name, Obs.find_histogram (name ^ ".duration_us")))
-      trace_stages
+    List.map (fun name -> Obs.find_histogram (name ^ ".duration_us")) trace_stages
   in
-  let on_dt = soak ~check_slow:true in
+  (* the captured span trees must reach /debug/slow complete *)
+  let check port =
+    probe ~section:"serve_trace" ~port "/debug/slow"
+      (List.map
+         (fun span -> (span, Printf.sprintf "lacks %s spans" span))
+         ("serve.request" :: trace_stages))
+  in
+  let (), _, on_dt = soak ~check ~workers ~per_client in
   let retained = List.length (Obs.Request.retained ()) in
   Obs.Request.disable ();
   Obs.Request.clear_retained ();
   if retained = 0 then failwith "serve_trace: capture-on soak retained nothing";
-  (* Per-stage decomposition of the capture-on replay only: diff the
-     microsecond histograms against the pre-replay snapshot (earlier
-     sections feed the same series). *)
   let stage_stats =
-    List.map
-      (fun name ->
-        let hname = name ^ ".duration_us" in
-        let after =
-          match Obs.find_histogram hname with
-          | Some h -> h
-          | None -> failwith ("serve_trace: histogram missing: " ^ hname)
+    List.map2
+      (fun name before ->
+        let n, _, delta =
+          hist_delta ~section:"serve_trace" (name ^ ".duration_us") before
         in
-        let delta =
-          match List.assoc name before with
-          | None -> after.Obs.h_buckets
-          | Some b ->
-              List.map2
-                (fun (bound, ca) (_, cb) -> (bound, ca - cb))
-                after.Obs.h_buckets b.Obs.h_buckets
-        in
-        let total = List.fold_left (fun acc (_, c) -> acc + c) 0 delta in
         ( name,
-          total,
-          bucket_percentile_us delta total 50.0,
-          bucket_percentile_us delta total 99.0 ))
-      trace_stages
+          n,
+          bucket_percentile_us delta n 50.0,
+          bucket_percentile_us delta n 99.0 ))
+      trace_stages before
   in
-  let overhead_pct = (on_dt -. off_dt) /. off_dt *. 100.0 in
-  Format.printf
-    "capture off: %d event(s) in %.3f s@.capture on:  %d event(s) in %.3f s \
-     — overhead %+.2f%% (%d trace(s) retained)@."
-    pooled_events off_dt pooled_events on_dt overhead_pct retained;
+  let overhead =
+    overhead_fields ~section:"serve_trace" ~label:"capture"
+      ~what:"capture overhead" ~budget_pct:10.0 ~gate ~cores
+      ~events:pooled_events off_dt on_dt
+  in
+  Format.printf "%d trace(s) retained@." retained;
   Format.printf "per-stage latency, capture-on replay (bucket upper bounds):@.";
   List.iter
     (fun (name, n, p50, p99) ->
       Format.printf "  %-26s %6d obs   p50 <= %7.0f us   p99 <= %7.0f us@."
         name n p50 p99)
     stage_stats;
-  let overhead_gate =
-    if not gate then "skipped (sub-standard scale)"
-    else if cores < 4 then
-      Printf.sprintf "skipped (%d core(s) available, need 4)" cores
-    else if overhead_pct > overhead_budget_pct then
-      failwith
-        (Printf.sprintf
-           "serve_trace: capture overhead %+.2f%% over budget %.0f%%"
-           overhead_pct overhead_budget_pct)
-    else
-      Printf.sprintf "passed (%+.2f%% <= %.0f%%)" overhead_pct
-        overhead_budget_pct
-  in
-  Format.printf "overhead gate: %s@." overhead_gate;
-  [
-    ("events", Report.Json.Int pooled_events);
-    ("cores", Report.Json.Int cores);
-    ("workers", Report.Json.Int workers);
-    ("shards", Report.Json.Int shards);
-    ("off_seconds", Report.Json.Float off_dt);
-    ("on_seconds", Report.Json.Float on_dt);
-    ("overhead_pct", Report.Json.Float overhead_pct);
-    ("overhead_budget_pct", Report.Json.Float overhead_budget_pct);
-    ("overhead_gate", Report.Json.String overhead_gate);
-    ("retained_traces", Report.Json.Int retained);
-    ( "stages",
-      Report.Json.Obj
-        (List.map
-           (fun (name, n, p50, p99) ->
-             ( name,
-               Report.Json.Obj
-                 [
-                   ("observations", Report.Json.Int n);
-                   ("p50_le_us", Report.Json.Float p50);
-                   ("p99_le_us", Report.Json.Float p99);
-                 ] ))
-           stage_stats) );
-  ]
+  shape_json ~events:pooled_events ~cores ~workers
+  @ overhead
+  @ [
+      ("retained_traces", Report.Json.Int retained);
+      ( "stages",
+        Report.Json.Obj
+          (List.map
+             (fun (name, n, p50, p99) ->
+               ( name,
+                 Report.Json.Obj
+                   [
+                     ("observations", Report.Json.Int n);
+                     ("p50_le_us", Report.Json.Float p50);
+                     ("p99_le_us", Report.Json.Float p99);
+                   ] ))
+             stage_stats) );
+    ]
 
-(* --- serve_gc: runtime-events poller overhead and GC attribution ---
-
-   Replays the keyed keep-alive soak twice through the pooled stack:
-   once with runtime profiling off (the deployment default) and once
-   with [Obs.Rt_events] on — poller domain live, per-domain GC pause
-   decoding, per-request gc_overlap_us attribution — then reports the
-   wall-clock overhead, pause percentiles from the
+(* serve_gc: runtime profiling off, then [Obs.Rt_events] on — poller
+   domain live, per-domain GC pause decoding, per-request gc_overlap_us
+   attribution — with pause percentiles from the
    [runtime.gc.pause.duration_us] delta and attribution totals from the
-   [serve.request.gc_overlap_us] delta. While the profiled server is
-   still up, /debug/gc, /metrics and /debug/slow must all carry the new
-   telemetry. The <5% overhead gate arms on >=4 cores at gating scales,
-   for the same reason as serve_trace's. *)
-
-let gc_overhead_budget_pct = 5.0
-
+   [serve.request.gc_overlap_us] delta. /debug/gc, /metrics and
+   /debug/slow must all carry the telemetry while the profiled server is
+   up. *)
 let run_gc ~events ~gate =
-  let query = mt_query () in
-  let cores = Domain.recommended_domain_count () in
-  let workers = max 2 (min cores 8) in
-  let shards = workers in
-  let per_client = events / workers in
+  let cores, workers, per_client = pool_shape ~events in
   let pooled_events = per_client * workers in
-  (* One full soak. With [check_gc], hit the debug endpoints while the
-     profiled server is still up. *)
-  let soak ~check_gc =
-    let service =
-      Serve.Service.create ~max_partials:512 ~shards ~threaded:true query
-    in
-    let server = Serve.Http.listen ~port:0 () in
-    let port = Serve.Http.port server in
-    let pool_d =
-      Domain.spawn (fun () ->
-          Serve.Http.serve_pool ~workers server (Serve.Service.handle service))
-    in
-    let (), dt =
-      E.Harness.time (fun () ->
-          let clients =
-            List.init workers (fun c ->
-                Domain.spawn (fun () ->
-                    ignore (mt_feed ~port ~client:(c + 1) ~events:per_client)))
-          in
-          List.iter Domain.join clients)
-    in
-    if check_gc then begin
-      (match Serve.Http.get ~port "/debug/gc" with
-      | Ok (200, body) ->
-          if not (contains ~needle:"\"running\":true" body) then
-            failwith "serve_gc: /debug/gc reports profiling off";
-          if not (contains ~needle:"\"recent\"" body) then
-            failwith "serve_gc: /debug/gc carries no domain summaries"
-      | Ok (st, _) -> failwith (Printf.sprintf "serve_gc: /debug/gc HTTP %d" st)
-      | Error msg -> failwith ("serve_gc: /debug/gc: " ^ msg));
-      (match Serve.Http.get ~port "/metrics" with
-      | Ok (200, body) ->
-          if not (contains ~needle:"runtime_gc_pause_duration_us" body) then
-            failwith "serve_gc: /metrics lacks runtime_gc_pause_duration_us"
-      | Ok (st, _) -> failwith (Printf.sprintf "serve_gc: /metrics HTTP %d" st)
-      | Error msg -> failwith ("serve_gc: /metrics: " ^ msg));
-      match Serve.Http.get ~port "/debug/slow?limit=8" with
-      | Ok (200, body) ->
-          if not (contains ~needle:"\"gc_us\"" body) then
-            failwith "serve_gc: /debug/slow lacks per-stage gc attribution"
-      | Ok (st, _) ->
-          failwith (Printf.sprintf "serve_gc: /debug/slow HTTP %d" st)
-      | Error msg -> failwith ("serve_gc: /debug/slow: " ^ msg)
-    end;
-    Serve.Http.stop server;
-    Domain.join pool_d;
-    Serve.Service.shutdown service;
-    dt
-  in
-  (* profiling off: the deployment default (stop a globally-enabled
-     poller first so the baseline really is unprofiled) *)
+  (* stop a globally-enabled poller first so the baseline really is
+     unprofiled *)
   if Obs.Rt_events.running () then Obs.Rt_events.stop ();
   Obs.Request.disable ();
-  let off_dt = soak ~check_gc:false in
-  (* profiling on, every request retained so /debug/slow shows the
-     attribution; histogram deltas isolate this replay from earlier
-     sections feeding the same series *)
+  let (), _, off_dt = soak ~check:ignore ~workers ~per_client in
+  (* every request retained so /debug/slow shows the attribution *)
   let before_pause = Obs.find_histogram "runtime.gc.pause.duration_us" in
   let before_overlap = Obs.find_histogram "serve.request.gc_overlap_us" in
   Obs.Request.configure ~threshold_us:0 ~capacity:64 ();
   Obs.Rt_events.start ();
-  let on_dt = soak ~check_gc:true in
+  let check port =
+    let probe = probe ~section:"serve_gc" ~port in
+    probe "/debug/gc"
+      [
+        ("\"running\":true", "reports profiling off");
+        ("\"recent\"", "carries no domain summaries");
+      ];
+    probe "/metrics"
+      [ ("runtime_gc_pause_duration_us", "lacks runtime_gc_pause_duration_us") ];
+    probe "/debug/slow?limit=8"
+      [ ("\"gc_us\"", "lacks per-stage gc attribution") ]
+  in
+  let (), _, on_dt = soak ~check ~workers ~per_client in
   Obs.Rt_events.stop ();
   Obs.Request.disable ();
   Obs.Request.clear_retained ();
   Obs.Rt_events.reset_for_test ();
-  let delta name before =
-    let after =
-      match Obs.find_histogram name with
-      | Some h -> h
-      | None -> failwith ("serve_gc: histogram missing: " ^ name)
-    in
-    match before with
-    | None -> (after.Obs.h_count, after.Obs.h_sum, after.Obs.h_buckets)
-    | Some b ->
-        ( after.Obs.h_count - b.Obs.h_count,
-          after.Obs.h_sum - b.Obs.h_sum,
-          List.map2
-            (fun (bound, ca) (_, cb) -> (bound, ca - cb))
-            after.Obs.h_buckets b.Obs.h_buckets )
-  in
   let pauses_n, pause_sum_us, pause_delta =
-    delta "runtime.gc.pause.duration_us" before_pause
+    hist_delta ~section:"serve_gc" "runtime.gc.pause.duration_us" before_pause
   in
   let overlap_n, overlap_sum_us, _ =
-    delta "serve.request.gc_overlap_us" before_overlap
+    hist_delta ~section:"serve_gc" "serve.request.gc_overlap_us" before_overlap
   in
   if pauses_n = 0 then failwith "serve_gc: profiled soak recorded no GC pauses";
   let pause_p50 = bucket_percentile_us pause_delta pauses_n 50.0 in
   let pause_p99 = bucket_percentile_us pause_delta pauses_n 99.0 in
-  let overhead_pct = (on_dt -. off_dt) /. off_dt *. 100.0 in
-  Format.printf
-    "profiling off: %d event(s) in %.3f s@.profiling on:  %d event(s) in \
-     %.3f s — overhead %+.2f%%@."
-    pooled_events off_dt pooled_events on_dt overhead_pct;
+  let overhead =
+    overhead_fields ~section:"serve_gc" ~label:"profiling"
+      ~what:"poller overhead" ~budget_pct:5.0 ~gate ~cores
+      ~events:pooled_events off_dt on_dt
+  in
   Format.printf
     "GC pauses: %d recorded, %d us total, p50 <= %.0f us, p99 <= %.0f us@."
     pauses_n pause_sum_us pause_p50 pause_p99;
   Format.printf
     "attribution: %d request(s) observed, %d us of request time under GC@."
     overlap_n overlap_sum_us;
-  let overhead_gate =
-    if not gate then "skipped (sub-standard scale)"
-    else if cores < 4 then
-      Printf.sprintf "skipped (%d core(s) available, need 4)" cores
-    else if overhead_pct > gc_overhead_budget_pct then
-      failwith
-        (Printf.sprintf "serve_gc: poller overhead %+.2f%% over budget %.0f%%"
-           overhead_pct gc_overhead_budget_pct)
-    else
-      Printf.sprintf "passed (%+.2f%% <= %.0f%%)" overhead_pct
-        gc_overhead_budget_pct
-  in
-  Format.printf "overhead gate: %s@." overhead_gate;
-  [
-    ("events", Report.Json.Int pooled_events);
-    ("cores", Report.Json.Int cores);
-    ("workers", Report.Json.Int workers);
-    ("shards", Report.Json.Int shards);
-    ("off_seconds", Report.Json.Float off_dt);
-    ("on_seconds", Report.Json.Float on_dt);
-    ("overhead_pct", Report.Json.Float overhead_pct);
-    ("overhead_budget_pct", Report.Json.Float gc_overhead_budget_pct);
-    ("overhead_gate", Report.Json.String overhead_gate);
-    ("gc_pauses", Report.Json.Int pauses_n);
-    ("gc_pause_total_us", Report.Json.Int pause_sum_us);
-    ("gc_pause_p50_le_us", Report.Json.Float pause_p50);
-    ("gc_pause_p99_le_us", Report.Json.Float pause_p99);
-    ("requests_observed", Report.Json.Int overlap_n);
-    ("gc_overlap_total_us", Report.Json.Int overlap_sum_us);
-  ]
+  shape_json ~events:pooled_events ~cores ~workers
+  @ overhead
+  @ [
+      ("gc_pauses", Report.Json.Int pauses_n);
+      ("gc_pause_total_us", Report.Json.Int pause_sum_us);
+      ("gc_pause_p50_le_us", Report.Json.Float pause_p50);
+      ("gc_pause_p99_le_us", Report.Json.Float pause_p99);
+      ("requests_observed", Report.Json.Int overlap_n);
+      ("gc_overlap_total_us", Report.Json.Int overlap_sum_us);
+    ]

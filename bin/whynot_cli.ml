@@ -283,28 +283,10 @@ let explain_cmd =
           ~doc:"Use the single-binding approximation (Definition 8) instead of \
                 the exact full binding.")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("bnb", `Bnb); ("bnb-par", `Bnb_par); ("flat", `Flat) ]) `Bnb
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Binding search engine for the exact strategy: $(b,bnb) \
-             (branch-and-bound, default), $(b,bnb-par) (branch-and-bound \
-             across all cores), or $(b,flat) (enumerate every binding).")
-  in
-  let run () query trace_path tuple_id single engine json =
+  let run () query trace_path tuple_id single json =
     let strategy =
       if single then Whynot.Explain.Modification.Single
       else Whynot.Explain.Modification.Full
-    in
-    let engine =
-      match engine with
-      | `Bnb -> Whynot.Explain.Modification.Bnb { domains = 1 }
-      | `Bnb_par ->
-          Whynot.Explain.Modification.Bnb
-            { domains = Domain.recommended_domain_count () }
-      | `Flat -> Whynot.Explain.Modification.Flat
     in
     let trace = load_trace trace_path in
     let report = Whynot.Explain.Consistency.check query in
@@ -326,7 +308,7 @@ let explain_cmd =
       List.map
         (fun (id, t) ->
           let outcome =
-            Whynot.Explain.Pipeline.explain ~strategy ~engine query t
+            Whynot.Explain.Pipeline.explain ~strategy query t
           in
           (id, t, outcome))
         (selected_tuples trace tuple_id)
@@ -360,7 +342,7 @@ let explain_cmd =
           each non-answer's timestamps to make it match.")
     Term.(
       const run $ obs_term $ query_arg $ input_arg $ tuple_id_arg $ single_arg
-      $ engine_arg $ json_arg)
+      $ json_arg)
 
 (* --- diagnose --- *)
 
@@ -465,22 +447,7 @@ let detect_cmd =
       & info [ "horizon" ]
           ~doc:"Time horizon for partial matches (default: the query's root WITHIN).")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("compiled", Whynot.Cep.Detector.Compiled);
-               ("naive", Whynot.Cep.Detector.Naive);
-             ])
-          Whynot.Cep.Detector.Compiled
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Detection engine: $(b,compiled) (default; precompiled plan, see \
-             docs/DETECTION.md) or $(b,naive) (the reference enumerator).")
-  in
-  let run () query stream_path horizon engine =
+  let run () query stream_path horizon =
     let instances =
       let lines = In_channel.with_open_text stream_path In_channel.input_lines in
       (* detect runs one detector over the interleaved stream: a fourth
@@ -493,7 +460,7 @@ let detect_cmd =
           Printf.eprintf "%s\n" (Whynot.Serve.Ingest.error_to_string e);
           exit 2
     in
-    let detector = Whynot.Cep.Detector.create ~engine ?horizon query in
+    let detector = Whynot.Cep.Detector.create ?horizon query in
     let matches = Whynot.Cep.Detector.feed_all detector instances in
     List.iter
       (fun m ->
@@ -513,8 +480,7 @@ let detect_cmd =
   Cmd.v
     (Cmd.info "detect"
        ~doc:"Run the streaming detector over an interleaved event stream (CSV).")
-    Term.(
-      const run $ obs_term $ query_arg $ stream_arg $ horizon_arg $ engine_arg)
+    Term.(const run $ obs_term $ query_arg $ stream_arg $ horizon_arg)
 
 (* --- serve (live telemetry service) --- *)
 
@@ -546,10 +512,11 @@ let serve_cmd =
       value & opt int 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "HTTP worker domains. 1 (default) keeps the sequential accept \
-             loop; above 1, an acceptor hands connections to N worker \
-             domains over a bounded queue, and the detector pool runs \
-             threaded.")
+            "HTTP worker domains. Each accepts connections on the shared \
+             listening socket and serves them; connections beyond the busy \
+             workers wait in the kernel backlog (--backlog). 1 (default) \
+             serves one connection at a time on the main domain; above 1, \
+             the detector pool runs threaded.")
   in
   let shards_arg =
     Arg.(
@@ -586,21 +553,6 @@ let serve_cmd =
              instead of POST /ingest; match verdicts print to stdout as \
              JSONL and the server exits at EOF. The HTTP endpoints \
              (/metrics, /health, /ready) stay available throughout.")
-  in
-  let engine_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("compiled", Whynot.Cep.Detector.Compiled);
-               ("naive", Whynot.Cep.Detector.Naive);
-             ])
-          Whynot.Cep.Detector.Compiled
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Detection engine: $(b,compiled) (default) or $(b,naive) (the \
-             reference enumerator; see docs/DETECTION.md).")
   in
   let log_level_arg =
     Arg.(
@@ -660,7 +612,7 @@ let serve_cmd =
              only when --log-level admits that level. $(b,info) is the \
              default; $(b,off) suppresses the line entirely.")
   in
-  let run () query port horizon max_partials engine workers shards shard_queue
+  let run () query port horizon max_partials workers shards shard_queue
       backlog use_stdin log_level slow_threshold slow_capacity access_level =
     Whynot.Obs.Log.set_level log_level;
     if slow_threshold < 0 then begin
@@ -698,7 +650,7 @@ let serve_cmd =
        one domain — bit-identical to the pre-pool service. *)
     let threaded = workers > 1 || shards > 1 in
     let service =
-      Whynot.Serve.Service.create ~engine ?horizon ~max_partials ~shards
+      Whynot.Serve.Service.create ?horizon ~max_partials ~shards
         ~shard_queue ~threaded ~http_ingest:(not use_stdin) ~help query
     in
     let server = Whynot.Serve.Http.listen ~backlog ~port () in
@@ -707,10 +659,9 @@ let serve_cmd =
     Printf.eprintf
       "whynot serve: listening on http://127.0.0.1:%d (metrics at /metrics)\n%!"
       port;
-    let handler = Whynot.Serve.Service.handle service in
     let http_loop () =
-      if workers > 1 then Whynot.Serve.Http.serve_pool ~workers server handler
-      else Whynot.Serve.Http.serve server handler
+      Whynot.Serve.Http.serve ~workers server
+        (Whynot.Serve.Service.handle service)
     in
     if use_stdin then begin
       (* Ingest stays on this domain (HTTP ingest answers 503 in this
@@ -759,7 +710,7 @@ let serve_cmd =
           (POST /ingest or --stdin) with JSONL match verdicts.")
     Term.(
       const run $ obs_term $ query_arg $ port_arg $ horizon_arg
-      $ max_partials_arg $ engine_arg $ workers_arg $ shards_arg
+      $ max_partials_arg $ workers_arg $ shards_arg
       $ shard_queue_arg $ backlog_arg $ stdin_arg $ log_level_arg
       $ slow_threshold_arg $ slow_capacity_arg $ access_log_arg)
 

@@ -63,6 +63,15 @@ let gauge name =
 let default_buckets =
   [| 0; 1; 2; 5; 10; 25; 50; 100; 250; 500; 1000; 2500; 5000; 10000 |]
 
+(* Microsecond bounds of the request-stage latency histograms
+   ([*.duration_us]), GC pauses and per-request GC overlap: 50us
+   resolution at the fast end, 1s at the tail. *)
+let latency_buckets =
+  [|
+    50; 100; 250; 500; 1000; 2500; 5000; 10000; 25000; 50000; 100000; 250000;
+    1000000;
+  |]
+
 let histogram ?(buckets = default_buckets) name =
   Array.iteri
     (fun i b ->
@@ -701,17 +710,9 @@ module Rt_events = struct
      [read_poll] runs outside every lock, and only the per-event decode
      callbacks it invokes take [rt_lock]. *)
 
-  (* Microsecond pause buckets: the serving stack's request-stage latency
-     buckets (Serve.Http.latency_buckets), duplicated literally because
-     Obs cannot depend on Serve; registering the same bounds twice is a
-     get-or-create no-op, so sharing stays safe either way. *)
-  let pause_buckets =
-    [|
-      50; 100; 250; 500; 1000; 2500; 5000; 10000; 25000; 50000; 100000;
-      250000; 1000000;
-    |]
+  let pause_h =
+    histogram ~buckets:latency_buckets "runtime.gc.pause.duration_us"
 
-  let pause_h = histogram ~buckets:pause_buckets "runtime.gc.pause.duration_us"
   let minor_c = counter "runtime.gc.pause.minor"
   let major_c = counter "runtime.gc.pause.major"
   let compact_c = counter "runtime.gc.pause.compact"
@@ -1152,7 +1153,6 @@ module Request = struct
     r_shed : bool;
     r_keep_alive : bool;
     r_start_ms : int;
-    r_queue_wait_us : int;
     r_read_us : int;
     r_service_us : int;
     r_write_us : int;
@@ -1165,7 +1165,6 @@ module Request = struct
        computable (and deterministic) after retention *)
     r_gc_pauses : (int * int) list;
     r_gc_overlap_us : int;
-    r_gc_queue_wait_us : int;
     r_gc_read_us : int;
     r_gc_service_us : int;
     r_gc_write_us : int;
@@ -1226,7 +1225,6 @@ module Request = struct
     mutable sc_bytes_in : int;
     mutable sc_bytes_out : int;
     mutable sc_keep_alive : bool;
-    mutable sc_queue_wait_ns : int;
     mutable sc_read_ns : int;
     mutable sc_service_ns : int;
     mutable sc_write_ns : int;
@@ -1242,7 +1240,6 @@ module Request = struct
   let set_bytes_in sc n = sc.sc_bytes_in <- n
   let set_bytes_out sc n = sc.sc_bytes_out <- n
   let set_keep_alive sc b = sc.sc_keep_alive <- b
-  let set_queue_wait sc ns = sc.sc_queue_wait_ns <- ns
   let set_read sc ns = sc.sc_read_ns <- ns
   let set_service sc ns = sc.sc_service_ns <- ns
   let set_write sc ns = sc.sc_write_ns <- ns
@@ -1305,20 +1302,19 @@ module Request = struct
 
   let us_of_ns ns = ns / 1000
 
-  (* GC overlap histogram on the shared microsecond pause buckets; the
+  (* GC overlap histogram on the shared microsecond latency buckets; the
      handle is registered at module initialisation like every other. *)
   let gc_overlap_h =
-    histogram ~buckets:Rt_events.pause_buckets "serve.request.gc_overlap_us"
+    histogram ~buckets:latency_buckets "serve.request.gc_overlap_us"
 
   let info_of sc =
     (* Reconstruct the request's stage intervals on the wall clock:
-       [sc_start] is taken right as the connection turn begins, so the
-       queue wait lies just before it and read/service/write follow in
-       order. Overlapping the recorded GC pauses against these intervals
-       attributes each pause to the stage it actually stalled. *)
-    let b_ns = int_of_float (sc.sc_start *. 1e9) in
-    let w0 = b_ns - sc.sc_queue_wait_ns in
-    let read_end = b_ns + sc.sc_read_ns in
+       [sc_start] is taken right as the connection turn begins, and
+       read/service/write follow in order. Overlapping the recorded GC
+       pauses against these intervals attributes each pause to the stage
+       it actually stalled. *)
+    let w0 = int_of_float (sc.sc_start *. 1e9) in
+    let read_end = w0 + sc.sc_read_ns in
     let service_end = read_end + sc.sc_service_ns in
     let w1 = service_end + sc.sc_write_ns in
     let pauses =
@@ -1337,7 +1333,6 @@ module Request = struct
       r_shed = sc.sc_status = 429;
       r_keep_alive = sc.sc_keep_alive;
       r_start_ms = int_of_float (sc.sc_start *. 1e3);
-      r_queue_wait_us = us_of_ns sc.sc_queue_wait_ns;
       r_read_us = us_of_ns sc.sc_read_ns;
       r_service_us = us_of_ns sc.sc_service_ns;
       r_write_us = us_of_ns sc.sc_write_ns;
@@ -1346,8 +1341,7 @@ module Request = struct
       r_shards = List.sort Int.compare sc.sc_shards;
       r_gc_pauses = pauses;
       r_gc_overlap_us = ov w0 w1;
-      r_gc_queue_wait_us = ov w0 b_ns;
-      r_gc_read_us = ov b_ns read_end;
+      r_gc_read_us = ov w0 read_end;
       r_gc_service_us = ov read_end service_end;
       r_gc_write_us = ov service_end w1;
       r_events =
@@ -1369,7 +1363,6 @@ module Request = struct
               ("status", Log.Num info.r_status);
               ("bytes_in", Log.Num info.r_bytes_in);
               ("bytes_out", Log.Num info.r_bytes_out);
-              ("queue_wait_us", Log.Num info.r_queue_wait_us);
               ("read_us", Log.Num info.r_read_us);
               ("service_us", Log.Num info.r_service_us);
               ("write_us", Log.Num info.r_write_us);
@@ -1379,7 +1372,6 @@ module Request = struct
                   (String.concat ","
                      (List.map string_of_int info.r_shards)) );
               ("gc_overlap_us", Log.Num info.r_gc_overlap_us);
-              ("gc_queue_wait_us", Log.Num info.r_gc_queue_wait_us);
               ("gc_read_us", Log.Num info.r_gc_read_us);
               ("gc_service_us", Log.Num info.r_gc_service_us);
               ("gc_write_us", Log.Num info.r_gc_write_us);
@@ -1416,7 +1408,6 @@ module Request = struct
         sc_bytes_in = 0;
         sc_bytes_out = 0;
         sc_keep_alive = false;
-        sc_queue_wait_ns = 0;
         sc_read_ns = 0;
         sc_service_ns = 0;
         sc_write_ns = 0;

@@ -40,6 +40,13 @@ val histogram : ?buckets:int array -> string -> histogram
 
 val default_buckets : int array
 
+val latency_buckets : int array
+(** Microsecond bucket bounds shared by the request-stage [*.duration_us]
+    latency histograms ([serve.shard.service], [serve.request.write]),
+    [runtime.gc.pause.duration_us] and [serve.request.gc_overlap_us]:
+    50us at the fast end, 1s at the tail, so stage, pause and overlap
+    percentiles are computed on the same grid. *)
+
 (** {1 Hot-path updates} *)
 
 val incr : counter -> unit
@@ -240,8 +247,8 @@ module Trace : sig
   (** Record an already-elapsed interval as a span: a
       [Span_open]/[Span_close] pair with the given wall-clock
       timestamps, parented under the current span. Used for backdated
-      stages — a connection's wait in the accept queue ends before any
-      measuring scope can open inside it. Cheap no-op when
+      stages — a shard job's wait in its queue ends before the worker
+      can open any measuring scope for it. Cheap no-op when
       {!should_emit} is false. *)
 
   (** {1 Cross-domain propagation} *)
@@ -378,8 +385,8 @@ end
     begin/end pairs into stop-the-world {e pause intervals} per domain.
     Each completed pause feeds:
 
-    - the [runtime.gc.pause.duration_us] histogram (shared microsecond
-      buckets, {!Rt_events.pause_buckets});
+    - the [runtime.gc.pause.duration_us] histogram (on
+      {!latency_buckets});
     - split counters [runtime.gc.pause.minor] / [.major] / [.compact];
     - a per-domain high-water gauge [runtime.dom.<d>.gc.max_pause_us]
       (registered for ring domains [0 ..] {!Rt_events.max_gauge_domains}
@@ -401,11 +408,6 @@ end
     When profiling is off this module costs nothing on the request
     path: {!Rt_events.active} is a single atomic load. *)
 module Rt_events : sig
-  val pause_buckets : int array
-  (** Microsecond bucket bounds of [runtime.gc.pause.duration_us] —
-      the serving stack's request-stage latency buckets, so pause and
-      stage percentiles are computed on the same grid. *)
-
   val max_gauge_domains : int
   (** Number of pre-registered [runtime.dom.<d>.gc.max_pause_us]
       gauges (domains [0 .. max_gauge_domains - 1]). *)
@@ -560,12 +562,10 @@ module Request : sig
       ingest path as it keys each batch line, from the domain running
       the turn. *)
 
-  val set_queue_wait : scope -> int -> unit
-  (** Stage timings, nanoseconds. *)
-
   val set_read : scope -> int -> unit
   val set_service : scope -> int -> unit
   val set_write : scope -> int -> unit
+  (** Stage timings, nanoseconds. *)
 
   val abandon : scope -> unit
   (** Mark the scope as a non-request (a keep-alive connection that
@@ -583,7 +583,6 @@ module Request : sig
     r_shed : bool;  (** status 429 *)
     r_keep_alive : bool;
     r_start_ms : int;  (** wall-clock request start, milliseconds *)
-    r_queue_wait_us : int;
     r_read_us : int;
     r_service_us : int;
     r_write_us : int;
@@ -597,8 +596,7 @@ module Request : sig
             window, captured at completion — span overlaps stay
             computable after retention *)
     r_gc_overlap_us : int;  (** GC pause time inside the request window *)
-    r_gc_queue_wait_us : int;  (** ... inside each stage window *)
-    r_gc_read_us : int;
+    r_gc_read_us : int;  (** ... inside each stage window *)
     r_gc_service_us : int;
     r_gc_write_us : int;
     r_events : Trace.event list;  (** the request's captured span tree *)

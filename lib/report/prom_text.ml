@@ -33,27 +33,45 @@ let escape_help s =
     s;
   Buffer.contents buf
 
-let help_of_markdown docs name =
+let help_of_markdown docs =
   (* The OBSERVABILITY.md catalogs are pipe tables whose first cell is the
      backtick-quoted dotted name and whose third cell is the meaning. The
-     first matching row wins; separator rows (all dashes) are skipped. *)
-  let needle = "`" ^ name ^ "`" in
+     first row for a name wins; rows whose meaning cell is a separator
+     (all dashes) are skipped. A scrape looks up every series, so the
+     tables are parsed once, on the first lookup, and published through
+     an Atomic: scrapes run on any HTTP worker domain, and a racing first
+     lookup merely parses twice. *)
   let is_separator s =
     String.for_all (fun c -> c = '-' || c = ' ' || c = ':') s
   in
-  let row_cells line =
-    if String.length line > 0 && line.[0] = '|' then
-      String.split_on_char '|' line
-      |> List.map String.trim
-      |> List.filter (fun c -> not (String.equal c ""))
-    else []
+  let parse () =
+    let rows = Hashtbl.create 256 in
+    List.iter
+      (fun line ->
+        if String.length line > 0 && line.[0] = '|' then
+          match
+            String.split_on_char '|' line
+            |> List.map String.trim
+            |> List.filter (fun c -> not (String.equal c ""))
+          with
+          | c1 :: _kind :: c3 :: _
+            when not (is_separator c3 || Hashtbl.mem rows c1) ->
+              Hashtbl.add rows c1 c3
+          | _ -> ())
+      (String.split_on_char '\n' docs);
+    rows
   in
-  String.split_on_char '\n' docs
-  |> List.find_map (fun line ->
-         match row_cells line with
-         | c1 :: _kind :: c3 :: _ when String.equal c1 needle ->
-             if is_separator c3 then None else Some c3
-         | _ -> None)
+  let table = Atomic.make None in
+  fun name ->
+    let rows =
+      match Atomic.get table with
+      | Some rows -> rows
+      | None ->
+          let rows = parse () in
+          Atomic.set table (Some rows);
+          rows
+    in
+    Hashtbl.find_opt rows ("`" ^ name ^ "`")
 
 let fmt_seconds ns = Printf.sprintf "%.9g" (float_of_int ns /. 1e9)
 

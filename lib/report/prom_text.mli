@@ -35,7 +35,10 @@ val escape_help : string -> string
 val help_of_markdown : string -> string -> string option
 (** [help_of_markdown docs name] extracts the meaning column for [name] from
     a markdown catalog table (rows shaped [| `name` | kind | meaning |], as
-    in [docs/OBSERVABILITY.md]). First matching row wins. *)
+    in [docs/OBSERVABILITY.md]). First matching row wins. Apply it to
+    [docs] once and keep the closure: the tables are parsed on its first
+    lookup, and every later lookup is a hash-table probe. The closure is
+    safe to call from several domains at once. *)
 
 val render :
   ?namespace:string ->

@@ -203,7 +203,6 @@ let slow_json (infos : Obs.Request.info list) =
         ( "timings_us",
           Json.Obj
             [
-              ("queue_wait", Json.Int i.r_queue_wait_us);
               ("read", Json.Int i.r_read_us);
               ("service", Json.Int i.r_service_us);
               ("write", Json.Int i.r_write_us);
@@ -212,7 +211,6 @@ let slow_json (infos : Obs.Request.info list) =
         ( "gc_us",
           Json.Obj
             [
-              ("queue_wait", Json.Int i.r_gc_queue_wait_us);
               ("read", Json.Int i.r_gc_read_us);
               ("service", Json.Int i.r_gc_service_us);
               ("write", Json.Int i.r_gc_write_us);

@@ -1,22 +1,15 @@
-(* Minimal dependency-free HTTP/1.1 responder over Unix sockets, in two
-   serving modes. [serve] is the original single-threaded accept loop:
-   sequential handling serializes every route through one thread, so the
-   handler may touch non-thread-safe state without locks. [serve_pool]
-   adds a Domain pool — the calling thread accepts and hands connections
-   to N worker domains over a bounded queue — for handlers that are safe
-   to run concurrently (the sharded service). Both modes speak keep-alive:
-   a client sending [Connection: keep-alive] reuses its connection for up
-   to [keepalive_limit] requests, each under the same I/O deadline. *)
+(* Minimal dependency-free HTTP/1.1 responder over Unix sockets. One
+   accept loop serves every worker count: [serve] runs it on the calling
+   domain and on [workers - 1] spawned domains, each accepting on the
+   shared listening socket, so connections beyond the busy workers wait
+   in the kernel accept backlog. With one worker every route is
+   serialized through one thread and the handler may touch
+   non-thread-safe state without locks; with more, the handler must be
+   safe to run concurrently (the sharded service is). A client sending
+   [Connection: keep-alive] reuses its connection for up to
+   [keepalive_limit] requests, each under the same I/O deadline. *)
 
 let keepalive_c = Obs.counter "serve.keepalive.reuses"
-
-(* Microsecond bucket bounds for the request-stage latency histograms
-   ([*.duration_us]): 50us resolution at the fast end, 1s at the tail. *)
-let latency_buckets =
-  [|
-    50; 100; 250; 500; 1000; 2500; 5000; 10000; 25000; 50000; 100000; 250000;
-    1000000;
-  |]
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
@@ -283,7 +276,7 @@ let untrack_conn t fd =
   Mutex.unlock t.conns.cm
 
 (* Per-connection I/O deadline. A client that connects and then sends
-   nothing would otherwise pin a worker (and, in sequential mode, wedge
+   nothing would otherwise pin a worker (and, with one worker, wedge
    every route and [stop], whose wake-up poke only unblocks [accept], not
    a read stuck inside a connection). *)
 let default_io_timeout = 10.0
@@ -304,7 +297,8 @@ let write_timed sc ~keep_alive fd (resp : response) =
     ~finally:(fun () ->
       let ns = now_ns () - t0 in
       Obs.Request.set_write sc ns;
-      Obs.observe_span ~hist_buckets:latency_buckets "serve.request.write" ~ns)
+      Obs.observe_span ~hist_buckets:Obs.latency_buckets "serve.request.write"
+        ~ns)
     (fun () ->
       Obs.Trace.with_span "serve.request.write" (fun () ->
           write_response ~keep_alive fd resp))
@@ -317,13 +311,10 @@ let write_timed sc ~keep_alive fd (resp : response) =
 
    Every turn runs inside one [Obs.Request] scope: the request id is
    minted before the read, echoed in [X-Request-Id], and the turn's
-   stages land in the scope as queue-wait (real for the first turn of a
-   pooled connection, zero for keep-alive reuses — the connection is
-   already on its worker), read, service (the handler), and write. A
+   stages land in the scope as read, service (the handler), and write. A
    turn that ends in a clean keep-alive EOF never was a request: its
    scope is abandoned, producing no access-log line. *)
-let handle_conn ?(queue_wait_ns = 0) ~io_timeout ~keepalive_limit t handler fd
-    =
+let handle_conn ~io_timeout ~keepalive_limit t handler fd =
   Fun.protect
     ~finally:(fun () ->
       untrack_conn t fd;
@@ -338,17 +329,9 @@ let handle_conn ?(queue_wait_ns = 0) ~io_timeout ~keepalive_limit t handler fd
       end;
       let pending = ref "" in
       let rec turn served =
-        let wait_ns = if served = 0 then queue_wait_ns else 0 in
         let keep_going =
           Obs.Request.with_scope (fun sc ->
               let t0 = now_ns () in
-              let finish_wait () =
-                Obs.Request.set_queue_wait sc wait_ns;
-                Obs.observe_span ~hist_buckets:latency_buckets
-                  "serve.request.queue_wait" ~ns:wait_ns;
-                Obs.Trace.span_interval "serve.request.queue_wait"
-                  ~t0_ns:(t0 - wait_ns) ~t1_ns:t0
-              in
               let received =
                 Obs.Trace.with_span "serve.request.read" (fun () ->
                     recv_request fd pending)
@@ -359,7 +342,6 @@ let handle_conn ?(queue_wait_ns = 0) ~io_timeout ~keepalive_limit t handler fd
                   Obs.Request.abandon sc;
                   false
               | Fail (status, msg) ->
-                  finish_wait ();
                   let resp =
                     response ~status
                       ~headers:[ ("X-Request-Id", Obs.Request.id sc) ]
@@ -368,7 +350,6 @@ let handle_conn ?(queue_wait_ns = 0) ~io_timeout ~keepalive_limit t handler fd
                   write_timed sc ~keep_alive:false fd resp;
                   false
               | Req req ->
-                  finish_wait ();
                   (* a request after the first means the connection was
                      actually reused, not merely left open *)
                   if served > 0 then Obs.incr keepalive_c;
@@ -402,98 +383,19 @@ let swallow_conn_error handler fd =
      the server down; [handle_conn] has already closed the socket. *)
   match handler fd with () -> () | exception Unix.Unix_error _ -> ()
 
-let serve ?(io_timeout = default_io_timeout)
-    ?(keepalive_limit = default_keepalive_limit) t handler =
-  Fun.protect
-    ~finally:(fun () ->
-      match Unix.close t.sock with
-      | () -> ()
-      | exception Unix.Unix_error _ -> ())
-    (fun () ->
-      while not (Atomic.get t.stopping) do
-        match Unix.accept t.sock with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | fd, _ ->
-            if Atomic.get t.stopping then Unix.close fd
-            else
-              swallow_conn_error
-                (handle_conn ~io_timeout ~keepalive_limit t handler)
-                fd
-      done)
-
-(* Domain-pool mode: the calling thread accepts and enqueues; [workers]
-   domains drain the queue and run the same per-connection loop. The
-   queue is bounded at [2 * workers] — when every worker is busy and the
-   queue is full, the acceptor blocks, new connections pile up in the
-   kernel backlog, and past that the kernel refuses them: back-pressure
-   reaches clients as connect latency rather than unbounded buffering.
-   All pool state is function-local (queue and conditions under one
-   mutex); the shared [t] is atomics plus the mutex-guarded registry. *)
-let serve_pool ?(io_timeout = default_io_timeout)
-    ?(keepalive_limit = default_keepalive_limit) ~workers t handler =
-  if workers < 1 then invalid_arg "Http.serve_pool: workers must be >= 1";
-  let qm = Mutex.create () in
-  let not_empty = Condition.create () in
-  let not_full = Condition.create () in
-  let queue = Queue.create () in
-  let capacity = 2 * workers in
-  let worker () =
-    let rec next () =
-      Mutex.lock qm;
-      while Queue.is_empty queue && not (Atomic.get t.stopping) do
-        Condition.wait not_empty qm
-      done;
-      match Queue.take_opt queue with
-      | Some (fd, enqueued_ns) ->
-          Condition.signal not_full;
-          Mutex.unlock qm;
-          let queue_wait_ns = now_ns () - enqueued_ns in
-          swallow_conn_error
-            (handle_conn ~queue_wait_ns ~io_timeout ~keepalive_limit t handler)
-            fd;
-          next ()
-      | None -> Mutex.unlock qm (* stopping and drained *)
-    in
-    next ()
-  in
-  let domains = Array.init workers (fun _ -> Domain.spawn worker) in
-  Fun.protect
-    ~finally:(fun () ->
-      (* wake every worker parked on the empty queue, then drain: workers
-         exit once the queue is empty and the stop flag is up *)
-      Mutex.lock qm;
-      Condition.broadcast not_empty;
-      Mutex.unlock qm;
-      Array.iter Domain.join domains;
-      match Unix.close t.sock with
-      | () -> ()
-      | exception Unix.Unix_error _ -> ())
-    (fun () ->
-      while not (Atomic.get t.stopping) do
-        match Unix.accept t.sock with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | fd, _ ->
-            if Atomic.get t.stopping then Unix.close fd
-            else begin
-              Mutex.lock qm;
-              while
-                Queue.length queue >= capacity && not (Atomic.get t.stopping)
-              do
-                Condition.wait not_full qm
-              done;
-              if Atomic.get t.stopping then begin
-                Mutex.unlock qm;
-                Unix.close fd
-              end
-              else begin
-                (* stamp the hand-off so the worker can attribute the
-                   connection's wait in this queue to the first request *)
-                Queue.add (fd, now_ns ()) queue;
-                Condition.signal not_empty;
-                Mutex.unlock qm
-              end
-            end
-      done)
+(* Wake one domain blocked in [accept] with a throwaway loopback
+   connection. *)
+let poke t =
+  match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> ()
+  | s -> (
+      match
+        Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port))
+      with
+      | () | (exception Unix.Unix_error _) -> (
+          match Unix.close s with
+          | () -> ()
+          | exception Unix.Unix_error _ -> ()))
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
@@ -509,19 +411,65 @@ let stop t =
         | exception Unix.Unix_error _ -> ())
       t.conns.fds;
     Mutex.unlock t.conns.cm;
-    (* The accept loop may be blocked in [accept]; poke it awake with a
-       throwaway loopback connection. *)
-    match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> ()
-    | s -> (
-        match
-          Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port))
-        with
-        | () | (exception Unix.Unix_error _) -> (
-            match Unix.close s with
-            | () -> ()
-            | exception Unix.Unix_error _ -> ()))
+    (* Every worker may be parked in [accept]: wake one, and each worker
+       that wakes into the stop flag pokes the next (see [serve]). *)
+    poke t
   end
+
+(* Run every thunk, even past one that raises, then re-raise the last
+   failure: a worker that dies must not leave its siblings unjoined. *)
+let rec run_all = function
+  | [] -> ()
+  | f :: rest -> (
+      match f () with
+      | () -> run_all rest
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          run_all rest;
+          Printexc.raise_with_backtrace e bt)
+
+(* The calling domain and [workers - 1] spawned ones run the same loop:
+   accept on the shared listening socket, serve that connection, repeat.
+   The kernel accept backlog is the only connection buffer: when every
+   worker is busy new connections wait there, so back-pressure reaches
+   clients as connect latency rather than unbounded buffering.
+
+   Shutdown is a chain: [stop] pokes the listener once, and a worker that
+   accepts while stopping closes that socket and pokes again, so every
+   worker parked in [accept] wakes in turn. Each loop calls [stop] as it
+   ends, normally or by an exception (EMFILE from [accept], say), so one
+   failed worker stops the rest instead of leaving them parked; the
+   failure is re-raised once all are joined. *)
+let serve ?(io_timeout = default_io_timeout)
+    ?(keepalive_limit = default_keepalive_limit) ?(workers = 1) t handler =
+  if workers < 1 then invalid_arg "Http.serve: workers must be >= 1";
+  let loop () =
+    Fun.protect
+      ~finally:(fun () -> stop t)
+      (fun () ->
+        while not (Atomic.get t.stopping) do
+          match Unix.accept t.sock with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | fd, _ ->
+              if Atomic.get t.stopping then begin
+                (match Unix.close fd with
+                | () -> ()
+                | exception Unix.Unix_error _ -> ());
+                poke t
+              end
+              else
+                swallow_conn_error
+                  (handle_conn ~io_timeout ~keepalive_limit t handler)
+                  fd
+        done)
+  in
+  let spawned = List.init (workers - 1) (fun _ -> Domain.spawn loop) in
+  Fun.protect
+    ~finally:(fun () ->
+      match Unix.close t.sock with
+      | () -> ()
+      | exception Unix.Unix_error _ -> ())
+    (fun () -> run_all (loop :: List.map (fun d () -> Domain.join d) spawned))
 
 (* --- tiny loopback clients, used by tests and the bench loops --- *)
 

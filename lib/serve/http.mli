@@ -1,24 +1,23 @@
 (** Minimal dependency-free HTTP/1.1 responder over Unix loopback sockets.
 
-    Two serving modes share one per-connection loop. {!serve} is the
-    sequential accept loop: one connection at a time, so handlers may
-    touch non-thread-safe state without locks. {!serve_pool} runs the
-    accept loop on the calling thread and hands connections to [workers]
-    domains over a bounded queue — handlers must then be safe to run
-    concurrently (the sharded service is). Both modes honor
-    [Connection: keep-alive] up to a per-connection request cap; the
-    default remains close-after-one. {!stop} is the only cross-thread
-    entry point. Binds 127.0.0.1 only — this is a telemetry port, not a
-    public server.
+    One accept loop serves every worker count: {!serve} runs it on the
+    calling domain and on [workers - 1] spawned domains, each accepting
+    on the shared listening socket, so the kernel accept backlog is the
+    only connection buffer. With one worker (the default) connections are
+    served one at a time, so handlers may touch non-thread-safe state
+    without locks; with more, handlers must be safe to run concurrently
+    (the sharded service is). Connections honor [Connection: keep-alive]
+    up to a per-connection request cap; the default remains
+    close-after-one. {!stop} is the only cross-thread entry point. Binds
+    127.0.0.1 only — this is a telemetry port, not a public server.
 
     Every request turn runs inside an {!Obs.Request} scope: a unique
     request id is minted before the read and echoed back in an
     [X-Request-Id] response header (on error responses too); the turn's
-    stage timings — conn-queue wait (pooled mode), read, handler
-    service, response write — are recorded into the scope (feeding the
-    [serve.access] log line and tail capture) and into the
-    [serve.request.queue_wait] / [serve.request.write] span metrics
-    with their [.duration_us] histograms. *)
+    stage timings — read, handler service, response write — are recorded
+    into the scope (feeding the [serve.access] log line and tail
+    capture), and the write also into the [serve.request.write] span
+    metric with its [.duration_us] histogram. *)
 
 type request = {
   meth : string;
@@ -46,61 +45,58 @@ type t
 
 val listen : ?backlog:int -> port:int -> unit -> t
 (** Bind and listen on [127.0.0.1:port]; [~port:0] picks an ephemeral
-    port (read it back with {!port}). [backlog] defaults to 128 — sized
-    for a worker pool draining connection bursts. @raise Unix.Unix_error
-    when the port is taken. *)
+    port (read it back with {!port}). [backlog] defaults to 128; it is the
+    only buffer for connections that arrive while every worker is busy.
+    @raise Unix.Unix_error when the port is taken. *)
 
 val port : t -> int
 
 val default_keepalive_limit : int
 (** 100 requests per connection. *)
 
-val latency_buckets : int array
-(** Microsecond bucket bounds shared by the request-stage
-    [*.duration_us] latency histograms ([serve.request.queue_wait],
-    [serve.shard.service], [serve.request.write]): 50us at the fast
-    end, 1s at the tail. *)
-
 val serve :
-  ?io_timeout:float -> ?keepalive_limit:int -> t -> (request -> response) ->
-  unit
-(** Run the sequential accept loop on the calling thread until {!stop} is
-    called (possibly from another thread or domain). Malformed or
-    oversized requests are answered with 400/413 without reaching the
-    handler; a connection idle for more than [io_timeout] seconds
-    (default 10, [0.] disables) is answered 408 so one silent client
-    cannot wedge the loop; client I/O errors are swallowed. A request
-    carrying [Connection: keep-alive] keeps its connection open for up to
-    [keepalive_limit] requests (default {!default_keepalive_limit}), each
-    turn under the same [io_timeout]; every reuse counts into the
-    [serve.keepalive.reuses] counter. SIGPIPE is ignored process-wide on
-    first use, so a peer that resets mid-write yields a catchable
-    [EPIPE] instead of killing the process. Closes the listening socket
-    on return. *)
-
-val serve_pool :
   ?io_timeout:float ->
   ?keepalive_limit:int ->
-  workers:int ->
+  ?workers:int ->
   t ->
   (request -> response) ->
   unit
-(** Like {!serve}, but connections are handed to [workers] domains over a
-    bounded queue (capacity [2 * workers]); the calling thread accepts.
-    When every worker is busy and the queue is full the acceptor blocks,
-    so back-pressure reaches clients through the kernel backlog instead
-    of unbounded buffering. The handler runs concurrently on all workers
-    and must be thread-safe. On {!stop}, in-flight connections are
-    finished (their read side is shut down so idle kept-alive sockets
-    wake immediately), the workers are joined, and the listening socket
-    is closed. @raise Invalid_argument on [workers < 1]. *)
+(** Serve until {!stop} is called (possibly from another thread or
+    domain). The calling domain and [workers - 1] spawned domains
+    ([workers] defaults to 1: nothing is spawned) each run the same loop:
+    accept a connection on the shared listening socket, then serve its
+    requests. Connections beyond the busy workers wait in the kernel
+    accept backlog ({!listen}'s [backlog]), so back-pressure reaches
+    clients as connect latency rather than unbounded buffering. Above one
+    worker the handler runs concurrently and must be thread-safe.
+
+    Malformed or oversized requests are answered with 400/413 without
+    reaching the handler; a connection idle for more than [io_timeout]
+    seconds (default 10, [0.] disables) is answered 408 so one silent
+    client cannot wedge a worker; client I/O errors are swallowed. A
+    request carrying [Connection: keep-alive] keeps its connection open
+    for up to [keepalive_limit] requests (default
+    {!default_keepalive_limit}), each turn under the same [io_timeout];
+    every reuse counts into the [serve.keepalive.reuses] counter. SIGPIPE
+    is ignored process-wide on first use, so a peer that resets mid-write
+    yields a catchable [EPIPE] instead of killing the process.
+
+    On {!stop}, in-flight connections are finished (their read side is
+    shut down so idle kept-alive sockets wake immediately) and every
+    worker parked in [accept] is woken. Each worker's loop calls {!stop}
+    as it ends, normally or by an exception (e.g. [EMFILE] from
+    [accept]), so one failed worker stops the others. [serve] returns
+    once every worker has been joined, closing the listening socket, and
+    re-raises a worker's failure. @raise Invalid_argument on
+    [workers < 1]. *)
 
 val stopping : t -> bool
 
 val stop : t -> unit
-(** Ask the accept loop to exit: sets the stop flag, shuts down the read
+(** Ask the accept loops to exit: sets the stop flag, shuts down the read
     side of every in-flight connection, and wakes a blocked [accept] with
-    a throwaway loopback connection. Idempotent. *)
+    a throwaway loopback connection — a worker woken into the stop flag
+    wakes the next one the same way. Idempotent. *)
 
 (** {1 Loopback clients}
 

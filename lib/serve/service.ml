@@ -20,12 +20,12 @@ type t = {
 let default_max_partials = 4096
 let default_shard_queue = 64
 
-let create ?engine ?horizon ?(max_partials = default_max_partials)
+let create ?horizon ?(max_partials = default_max_partials)
     ?(shards = 1) ?(shard_queue = default_shard_queue) ?(threaded = false)
     ?(http_ingest = true) ?(help = fun _ -> None) query =
   {
     pool =
-      Shard.create ?engine ?horizon ~max_partials ~shards
+      Shard.create ?horizon ~max_partials ~shards
         ~queue_capacity:shard_queue ~threaded query;
     http_ingest;
     help;

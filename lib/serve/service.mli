@@ -40,8 +40,8 @@
     Detection runs on a {!Shard} pool: one detector per partition key,
     keys hashed over [shards] shards. With [threaded:false] (the default)
     the pool is inline and {!handle}/{!ingest_line} must stay on a single
-    thread (the sequential {!Http.serve} loop does); with [threaded:true]
-    they are safe from any number of {!Http.serve_pool} workers.
+    thread ({!Http.serve} with one worker does); with [threaded:true]
+    they are safe from any number of {!Http.serve} workers.
 
     Counters: [serve.requests], [serve.errors], [serve.scrapes],
     [serve.ingest.lines], [serve.ingest.errors], [serve.matches],
@@ -62,7 +62,6 @@ val default_shard_queue : int
 (** 64 jobs per shard queue before ingest sheds. *)
 
 val create :
-  ?engine:Cep.Detector.engine ->
   ?horizon:int ->
   ?max_partials:int ->
   ?shards:int ->
@@ -72,15 +71,15 @@ val create :
   ?help:(string -> string option) ->
   Pattern.Ast.t list ->
   t
-(** [engine] selects the detector engine (default [Compiled], see
-    {!Cep.Detector.engine}). [shards] (default 1), [shard_queue]
-    (default {!default_shard_queue}) and [threaded] (default false)
-    configure the {!Shard} pool; [threaded] is {b required} when the
-    service is driven from more than one domain ({!Http.serve_pool}).
-    [http_ingest] (default true) controls whether [POST /ingest] feeds
-    the detectors; pass [false] when events arrive on stdin (ingest then
-    answers 503). [help] supplies HELP text for [/metrics] keyed by
-    dotted metric name (see {!Report.Prom_text.help_of_markdown}).
+(** Detection runs the compiled {!Cep.Detector} engine. [shards]
+    (default 1), [shard_queue] (default {!default_shard_queue}) and
+    [threaded] (default false) configure the {!Shard} pool; [threaded] is
+    {b required} when the service is driven from more than one domain
+    ({!Http.serve} with [workers > 1]). [http_ingest] (default true)
+    controls whether [POST /ingest] feeds the detectors; pass [false]
+    when events arrive on stdin (ingest then answers 503). [help]
+    supplies HELP text for [/metrics] keyed by dotted metric name (see
+    {!Report.Prom_text.help_of_markdown}).
     @raise Invalid_argument like {!Cep.Detector.create} and
     {!Shard.create}. *)
 

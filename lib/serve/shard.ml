@@ -165,7 +165,7 @@ let run_job t shard job =
      record something — an untraced request costs the worker nothing. *)
   if Obs.Trace.context_active job.ctx then Obs.Trace.with_context job.ctx work
   else work ();
-  Obs.observe_span ~hist_buckets:Http.latency_buckets "serve.shard.service"
+  Obs.observe_span ~hist_buckets:Obs.latency_buckets "serve.shard.service"
     ~ns:(now_ns () - t0);
   if Atomic.fetch_and_add job.cell.remaining (-1) = 1 then begin
     Mutex.lock job.cell.cm;
@@ -192,12 +192,12 @@ let worker t shard =
   in
   next ()
 
-let create ?engine ?horizon ?(max_partials = 4096) ?(shards = 1)
+let create ?horizon ?(max_partials = 4096) ?(shards = 1)
     ?(queue_capacity = 64) ?(threaded = false) patterns =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   if queue_capacity < 0 then
     invalid_arg "Shard.create: negative queue capacity";
-  let tpl = Cep.Detector.template ?engine ?horizon ~max_partials patterns in
+  let tpl = Cep.Detector.template ?horizon ~max_partials patterns in
   let mk k =
     let s =
       {
@@ -246,7 +246,7 @@ let submit t batch =
             let shard = t.shards.(shard_of_key t key) in
             results.(i) <- feed_keyed t shard ~key inst)
           batch);
-    Obs.observe_span ~hist_buckets:Http.latency_buckets "serve.shard.service"
+    Obs.observe_span ~hist_buckets:Obs.latency_buckets "serve.shard.service"
       ~ns:(now_ns () - t0);
     Processed results
   end

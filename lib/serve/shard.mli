@@ -46,7 +46,6 @@ type outcome =
           nothing was applied *)
 
 val create :
-  ?engine:Cep.Detector.engine ->
   ?horizon:int ->
   ?max_partials:int ->
   ?shards:int ->
@@ -54,8 +53,8 @@ val create :
   ?threaded:bool ->
   Pattern.Ast.t list ->
   t
-(** [engine], [horizon] and [max_partials] (default 4096, applied per
-    key) as in {!Cep.Detector.template}. [shards] defaults to 1,
+(** [horizon] and [max_partials] (default 4096, applied per key) as in
+    {!Cep.Detector.template}; every detector runs the compiled engine. [shards] defaults to 1,
     [queue_capacity] (jobs per shard queue, threaded mode only) to 64 —
     [0] sheds every threaded batch, which is degenerate but handy for
     shedding drills and tests. [threaded] (default false) spawns one

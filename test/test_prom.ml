@@ -185,7 +185,26 @@ let test_help_of_markdown () =
   check_bool "unknown name is None" true
     (P.help_of_markdown docs "serve.nosuch" = None);
   check_bool "separator row never matches" true
-    (P.help_of_markdown docs "---" = None)
+    (P.help_of_markdown docs "---" = None);
+  (* one closure serves every lookup of a scrape: a later duplicate row
+     never replaces the first, and a row whose meaning cell is a
+     separator is skipped in favour of the next row for that name *)
+  let help =
+    P.help_of_markdown
+      (docs
+     ^ "| `serve.requests` | counter | a later duplicate |\n\
+        | `serve.spans` | span | --- |\n\
+        | `serve.spans` | span | the row after a separator cell |\n")
+  in
+  check_bool "first of duplicate rows wins" true
+    (help "serve.requests" = Some "HTTP requests accepted");
+  check_bool "repeated lookups agree" true
+    (help "serve.requests" = Some "HTTP requests accepted"
+    && help "serve.errors" = Some "responses with status >= 400");
+  check_bool "separator meaning cell falls through to the next row" true
+    (help "serve.spans" = Some "the row after a separator cell");
+  check_bool "unknown name is None on a reused closure" true
+    (help "serve.nosuch" = None)
 
 (* The golden file pins the full exposition byte-for-byte for the fixed
    snapshot above (timers off). Regenerate deliberately after a format

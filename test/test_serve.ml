@@ -216,9 +216,12 @@ let test_ingest_line_results () =
 
 (* --- Http: the responder itself, loopback end-to-end --- *)
 
-let with_server ?io_timeout handler f =
+let with_server ?io_timeout ?keepalive_limit ?workers handler f =
   let server = Http.listen ~port:0 () in
-  let d = Domain.spawn (fun () -> Http.serve ?io_timeout server handler) in
+  let d =
+    Domain.spawn (fun () ->
+        Http.serve ?io_timeout ?keepalive_limit ?workers server handler)
+  in
   Fun.protect
     ~finally:(fun () ->
       Http.stop server;
@@ -263,12 +266,12 @@ let test_http_rejects_malformed () =
       check_bool "malformed request answered with 400" true
         (String.starts_with ~prefix:"HTTP/1.1 400" raw))
 
-let test_http_idle_connection_times_out () =
-  with_server ~io_timeout:0.2
+let test_http_idle_connection_times_out ~workers () =
+  with_server ~io_timeout:0.2 ~workers
     (fun _ -> Http.response "ok")
     (fun port ->
-      (* A client that connects and sends nothing must not wedge the
-         sequential accept loop forever: the read deadline answers 408. *)
+      (* A client that connects and sends nothing must not wedge a
+         worker forever: the read deadline answers 408. *)
       let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       let buf = Bytes.create 1024 in
@@ -277,18 +280,18 @@ let test_http_idle_connection_times_out () =
       let raw = Bytes.sub_string buf 0 n in
       check_bool "idle connection answered with 408" true
         (String.starts_with ~prefix:"HTTP/1.1 408" raw);
-      (* ... and the loop is free again for the next client. *)
+      (* ... and the server is free again for the next client. *)
       match Http.get ~port "/anything" with
       | Ok (200, _) -> ()
       | _ -> Alcotest.fail "server wedged after idle connection")
 
-let test_http_survives_client_reset () =
+let test_http_survives_client_reset ~workers () =
   (* A peer that resets the connection while the response is being
      written must surface as a catchable EPIPE/ECONNRESET, not as a
      fatal SIGPIPE. The big body forces the server through multiple
      writes so at least one lands after the RST. *)
   let big = String.make (8 * 1024 * 1024) 'x' in
-  with_server
+  with_server ~workers
     (fun _ -> Http.response big)
     (fun port ->
       let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -540,7 +543,7 @@ let test_shed_429 () =
   check_int "all-skip batch bypasses the full queue" 200 r2.Http.status;
   Service.shutdown s
 
-(* --- serve_pool: concurrent soak, keep-alive, clean stop --- *)
+(* --- worker pool: concurrent soak, keep-alive, clean stop --- *)
 
 let test_pool_soak () =
   let service =
@@ -550,7 +553,7 @@ let test_pool_soak () =
   let port = Http.port server in
   let pool_d =
     Domain.spawn (fun () ->
-        Http.serve_pool ~workers:3 server (Service.handle service))
+        Http.serve ~workers:3 server (Service.handle service))
   in
   let clients =
     List.init 3 (fun c ->
@@ -591,7 +594,7 @@ let test_pool_clean_stop () =
   let port = Http.port server in
   let pool_d =
     Domain.spawn (fun () ->
-        Http.serve_pool ~workers:2 server (Service.handle service))
+        Http.serve ~workers:2 server (Service.handle service))
   in
   let idle = Http.Client.connect ~port in
   (match Http.Client.get idle "/health" with
@@ -612,11 +615,65 @@ let test_pool_clean_stop () =
     | Ok _ -> false);
   Http.Client.close idle
 
-let test_keepalive_reuse_and_cap () =
+(* Join [d] from a watchdog domain: [Some] its result if it finished
+   within [seconds], [None] otherwise — so a server that never returns
+   fails the test instead of hanging the suite. *)
+let joins_within seconds d =
+  let t0 = Unix.gettimeofday () in
+  let finished = Atomic.make false in
+  let waiter =
+    Domain.spawn (fun () ->
+        let r = Domain.join d in
+        Atomic.set finished true;
+        r)
+  in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < seconds do
+    Unix.sleepf 0.01
+  done;
+  if Atomic.get finished then Some (Domain.join waiter) else None
+
+(* Every worker parked in [accept], none holding a connection: one poke
+   wakes one worker, and each worker woken into the stop flag must wake
+   the next, or [serve] hangs joining the rest. *)
+let test_stop_wakes_parked_workers () =
+  let server = Http.listen ~port:0 () in
+  let d =
+    Domain.spawn (fun () ->
+        Http.serve ~workers:4 server (fun _ -> Http.response "ok"))
+  in
+  (match Http.get ~port:(Http.port server) "/health" with
+  | Ok (200, _) -> ()
+  | _ -> Alcotest.fail "4-worker server did not answer");
+  (* let the worker that answered settle back into accept *)
+  Unix.sleepf 0.05;
+  Http.stop server;
+  check_bool "stop wakes every parked worker and serve returns within 2 s"
+    true
+    (joins_within 2.0 d = Some ())
+
+(* A worker that dies (here its handler raises) stops the others, and
+   [serve] re-raises once all are joined instead of hanging on the ones
+   parked in [accept]. *)
+let test_failed_worker_stops_serve () =
+  let server = Http.listen ~port:0 () in
+  let d =
+    Domain.spawn (fun () ->
+        match Http.serve ~workers:3 server (fun _ -> failwith "boom") with
+        | () -> Ok ()
+        | exception Failure msg -> Error msg)
+  in
+  (* the connection closes without a response *)
+  (match Http.get ~port:(Http.port server) "/x" with
+  | _ -> ()
+  | exception Unix.Unix_error _ -> ());
+  check_bool "serve re-raises the worker's failure within 2 s" true
+    (joins_within 2.0 d = Some (Error "boom"))
+
+let test_keepalive_reuse_and_cap ~workers () =
   let reuses0 =
     Option.value ~default:0 (Obs.find_counter "serve.keepalive.reuses")
   in
-  with_server
+  with_server ~workers
     (fun _ -> Http.response "ok")
     (fun port ->
       let c = Http.Client.connect ~port in
@@ -633,24 +690,19 @@ let test_keepalive_reuse_and_cap () =
     (reuses1 - reuses0 >= 4);
   (* the per-connection cap: a limit of 2 closes after the second
      response, the third request on that connection fails cleanly *)
-  let server = Http.listen ~port:0 () in
-  let d =
-    Domain.spawn (fun () ->
-        Http.serve ~keepalive_limit:2 server (fun _ -> Http.response "ok"))
-  in
-  let port = Http.port server in
-  let c = Http.Client.connect ~port in
-  (match Http.Client.get c "/1" with
-  | Ok (200, _) -> ()
-  | _ -> Alcotest.fail "first capped request failed");
-  (match Http.Client.get c "/2" with
-  | Ok (200, _) -> ()
-  | _ -> Alcotest.fail "second capped request failed");
-  check_bool "third request past the cap fails cleanly" true
-    (match Http.Client.get c "/3" with Error _ -> true | Ok _ -> false);
-  Http.Client.close c;
-  Http.stop server;
-  Domain.join d
+  with_server ~keepalive_limit:2 ~workers
+    (fun _ -> Http.response "ok")
+    (fun port ->
+      let c = Http.Client.connect ~port in
+      (match Http.Client.get c "/1" with
+      | Ok (200, _) -> ()
+      | _ -> Alcotest.fail "first capped request failed");
+      (match Http.Client.get c "/2" with
+      | Ok (200, _) -> ()
+      | _ -> Alcotest.fail "second capped request failed");
+      check_bool "third request past the cap fails cleanly" true
+        (match Http.Client.get c "/3" with Error _ -> true | Ok _ -> false);
+      Http.Client.close c)
 
 (* --- Request tracing: ids, /ready back-pressure, tail capture --- *)
 
@@ -722,10 +774,9 @@ let test_request_id_echo () =
             (String.length (id_of headers) > 0)
       | _ -> Alcotest.fail "expected 404")
 
-(* The tentpole acceptance: a pooled keep-alive soak with capture on
-   retains complete span trees — unique ids, exactly one conn-queue-wait
-   pair, at least one shard-service span, one write span, and no
-   orphaned opens after a clean stop. *)
+(* A pooled keep-alive soak with capture on retains complete span trees
+   — unique ids, exactly one read span, at least one shard-service span,
+   one write span, and no orphaned opens after a clean stop. *)
 let test_trace_capture_soak () =
   Obs.Request.configure ~threshold_us:0 ~capacity:256 ();
   Obs.Request.clear_retained ();
@@ -737,7 +788,7 @@ let test_trace_capture_soak () =
       let port = Http.port server in
       let pool_d =
         Domain.spawn (fun () ->
-            Http.serve_pool ~workers:3 server (Service.handle service))
+            Http.serve ~workers:3 server (Service.handle service))
       in
       let clients =
         List.init 3 (fun c ->
@@ -778,8 +829,7 @@ let test_trace_capture_soak () =
       Service.shutdown service;
       List.iter (fun n -> check_int "every soak ingest succeeded" 10 n) totals;
       check_bool "/debug/slow shows shard-service spans" true
-        (contains ~needle:"serve.shard.service" slow_json
-        && contains ~needle:"\"queue_wait\":" slow_json);
+        (contains ~needle:"serve.shard.service" slow_json);
       let retained = Obs.Request.retained () in
       let ids = List.map (fun (i : Obs.Request.info) -> i.r_id) retained in
       check_int "request ids are unique across the soak" (List.length ids)
@@ -815,8 +865,8 @@ let test_trace_capture_soak () =
           in
           check_int "no capture events were dropped" 0 i.r_events_dropped;
           check_int "one serve.request root span" 1 (count "serve.request");
-          check_int "exactly one conn-queue-wait span" 1
-            (count "serve.request.queue_wait");
+          check_int "exactly one serve.request.read span" 1
+            (count "serve.request.read");
           check_bool "at least one shard-service span" true
             (count "serve.shard.service" >= 1);
           check_int "exactly one write span" 1 (count "serve.request.write");
@@ -892,8 +942,7 @@ let test_access_log () =
       check_bool "serve.access line emitted at info" true
         (contains ~needle:"\"event\":\"serve.access\"" out);
       check_bool "access line decomposes the latency" true
-        (contains ~needle:"\"queue_wait_us\":" out
-        && contains ~needle:"\"read_us\":" out
+        (contains ~needle:"\"read_us\":" out
         && contains ~needle:"\"service_us\":" out
         && contains ~needle:"\"write_us\":" out
         && contains ~needle:"\"total_us\":" out);
@@ -1018,6 +1067,14 @@ let test_debug_gc_and_slow_controls () =
                infos));
       Service.shutdown s)
 
+(* One case at the default single worker under [name], one at three
+   workers: the same accept loop must behave alike at either count. *)
+let at_workers name test =
+  [
+    Alcotest.test_case name `Quick (test ~workers:1);
+    Alcotest.test_case ("3 workers: " ^ name) `Quick (test ~workers:3);
+  ]
+
 let suite =
   ( "serve",
     [
@@ -1030,10 +1087,11 @@ let suite =
       Alcotest.test_case "http end-to-end" `Quick test_http_end_to_end;
       Alcotest.test_case "http rejects malformed input" `Quick
         test_http_rejects_malformed;
-      Alcotest.test_case "http idle connection times out" `Quick
-        test_http_idle_connection_times_out;
-      Alcotest.test_case "http survives client reset" `Quick
-        test_http_survives_client_reset;
+    ]
+    @ at_workers "http idle connection times out"
+        test_http_idle_connection_times_out
+    @ at_workers "http survives client reset" test_http_survives_client_reset
+    @ [
       Alcotest.test_case "replay under concurrent scrape" `Quick
         test_replay_under_scrape;
       Alcotest.test_case "shard routing" `Quick test_shard_routing;
@@ -1047,8 +1105,14 @@ let suite =
         test_pool_soak;
       Alcotest.test_case "pool clean stop with in-flight connections" `Quick
         test_pool_clean_stop;
-      Alcotest.test_case "keep-alive reuse and per-connection cap" `Quick
-        test_keepalive_reuse_and_cap;
+      Alcotest.test_case "stop wakes every worker parked in accept" `Quick
+        test_stop_wakes_parked_workers;
+      Alcotest.test_case "a failed worker stops serve, which re-raises" `Quick
+        test_failed_worker_stops_serve;
+    ]
+    @ at_workers "keep-alive reuse and per-connection cap"
+        test_keepalive_reuse_and_cap
+    @ [
       Alcotest.test_case "/ready reflects shard back-pressure" `Quick
         test_ready_backpressure;
       Alcotest.test_case "request ids echoed and stamped on verdicts" `Quick

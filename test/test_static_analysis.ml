@@ -483,7 +483,7 @@ let test_config_pins_lock_order () =
         (List.mem "shard.sm" c.Config.lock_multi_acquire);
       check_bool "order is outermost-first from the request path" true
         (c.Config.lock_order
-        = [ "http.qm"; "http.cm"; "shard.sm"; "shard.cm"; "obs.rt_lock";
+        = [ "http.cm"; "shard.sm"; "shard.cm"; "obs.rt_lock";
             "obs.ring_lock"; "obs.lock" ])
 
 let test_parse_failure_is_error () =

@@ -32,8 +32,8 @@ let () =
   (* the request-path latency decomposition registers at first request *)
   List.iter
     (fun name ->
-      Obs.observe_span ~hist_buckets:Serve.Http.latency_buckets name ~ns:0)
-    [ "serve.request.queue_wait"; "serve.shard.service"; "serve.request.write" ];
+      Obs.observe_span ~hist_buckets:Obs.latency_buckets name ~ns:0)
+    [ "serve.shard.service"; "serve.request.write" ];
   let snap = Obs.snapshot () in
   let keep (name, _) = not (String.starts_with ~prefix:"test." name) in
   let row source kind exposition =

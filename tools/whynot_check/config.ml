@@ -95,8 +95,8 @@ let default =
     docs_path = "docs/OBSERVABILITY.md";
     lock_order =
       [
-        "http.qm"; "http.cm"; "shard.sm"; "shard.cm"; "obs.rt_lock";
-        "obs.ring_lock"; "obs.lock";
+        "http.cm"; "shard.sm"; "shard.cm"; "obs.rt_lock"; "obs.ring_lock";
+        "obs.lock";
       ];
     lock_multi_acquire = [ "shard.sm" ];
   }
