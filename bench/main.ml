@@ -332,6 +332,12 @@ let ablations () =
 
 let counter_value name = Option.value ~default:0 (Obs.find_counter name)
 
+(* The parallel runs' metric deltas, one per n. Their domains share one
+   incumbent, so how much they prune depends on timing: the report lists
+   their counters under the section and subtracts them from the gated
+   metrics snapshot, which keeps two runs of one build comparable. *)
+let bnb_parallel : Obs.snapshot list ref = ref []
+
 let bnb () =
   let ns = pick ~quick:[ 4; 6 ] ~standard:[ 4; 6; 8; 10 ] ~paper:[ 4; 6; 8; 10; 12 ] in
   let tuples_per_n = pick ~quick:2 ~standard:8 ~paper:12 in
@@ -364,35 +370,31 @@ let bnb () =
         let nodes0 = counter_value "bnb.nodes_expanded" in
         let bnb_results, bnb_dt = run (Explain.Modification.Bnb { domains = 1 }) in
         let nodes = counter_value "bnb.nodes_expanded" - nodes0 in
+        let before = Obs.snapshot () in
         let par_results, par_dt =
           run
             (Explain.Modification.Bnb
                { domains = Domain.recommended_domain_count () })
         in
+        bnb_parallel :=
+          Report.Obs_json.snapshot_delta before (Obs.snapshot ()) :: !bnb_parallel;
         (* The whole point: same optimum, same repaired tuple, on every
            instance, whichever engine and degree of parallelism. *)
-        List.iter2
-          (fun a b ->
-            match (a, b) with
-            | None, None -> ()
-            | Some ra, Some rb ->
-                assert (ra.Explain.Modification.cost = rb.Explain.Modification.cost);
-                assert (
-                  Events.Tuple.equal ra.Explain.Modification.repaired
-                    rb.Explain.Modification.repaired)
-            | _ -> assert false)
-          flat_results bnb_results;
-        List.iter2
-          (fun a b ->
-            match (a, b) with
-            | None, None -> ()
-            | Some ra, Some rb ->
-                assert (ra.Explain.Modification.cost = rb.Explain.Modification.cost);
-                assert (
-                  Events.Tuple.equal ra.Explain.Modification.repaired
-                    rb.Explain.Modification.repaired)
-            | _ -> assert false)
-          bnb_results par_results;
+        let same a b =
+          List.iter2
+            (fun a b ->
+              match (a, b) with
+              | None, None -> ()
+              | Some ra, Some rb ->
+                  assert (ra.Explain.Modification.cost = rb.Explain.Modification.cost);
+                  assert (
+                    Events.Tuple.equal ra.Explain.Modification.repaired
+                      rb.Explain.Modification.repaired)
+              | _ -> assert false)
+            a b
+        in
+        same flat_results bnb_results;
+        same bnb_results par_results;
         let leaves =
           List.fold_left
             (fun acc r ->
@@ -562,11 +564,11 @@ let micro () =
    report's metrics cover exactly the same work as a run without the
    trace section — keeping `compare` parity with earlier bench reports.
    The trace section must therefore stay ordered last. *)
-let metrics_before_trace : Report.Json.t option ref = ref None
+let metrics_before_trace : Obs.snapshot option ref = ref None
 let trace_overhead : (string * Report.Json.t) list ref = ref []
 
 let trace_section () =
-  metrics_before_trace := Some (Report.Obs_json.snapshot ());
+  metrics_before_trace := Some (Obs.snapshot ());
   let n = pick ~quick:6 ~standard:8 ~paper:10 in
   let tuples = pick ~quick:4 ~standard:12 ~paper:16 in
   let prng = Numeric.Prng.create 11 in
@@ -719,13 +721,18 @@ let scale_name () =
   | Paper -> "paper"
 
 (* Per-scenario wall-clock + the full metrics snapshot (key solver and
-   detector counters included), the perf trajectory's data points. *)
+   detector counters included), the perf trajectory's data points. The
+   bnb section's parallel runs are reported beside the snapshot, not in it. *)
 let write_report () =
   let open Report.Json in
   let metrics =
-    match !metrics_before_trace with
-    | Some m -> m
-    | None -> Report.Obs_json.snapshot ()
+    List.fold_left
+      (fun m par -> Report.Obs_json.snapshot_delta par m)
+      (match !metrics_before_trace with Some m -> m | None -> Obs.snapshot ())
+      !bnb_parallel
+  in
+  let nonzero_counters (d : Obs.snapshot) =
+    Obj (List.filter_map (fun (name, n) -> if n = 0 then None else Some (name, Int n)) d.counters)
   in
   let report =
     Obj
@@ -738,8 +745,11 @@ let write_report () =
                 (fun (name, dt) ->
                   Obj [ ("name", String name); ("seconds", Float dt) ])
                 !timings) );
-         ("metrics", metrics);
+         ("metrics", Report.Obs_json.render metrics);
        ]
+      @ (match !bnb_parallel with
+        | [] -> []
+        | ds -> [ ("bnb", Obj [ ("parallel_counters", List (List.rev_map nonzero_counters ds)) ]) ])
       @ (match !trace_overhead with
         | [] -> []
         | fields -> [ ("trace_overhead", Obj fields) ])

@@ -9,8 +9,9 @@
     potentials of the optimal residual network (complementary slackness).
 
     This is the repository's independent witness for {!Lp_repair}: property
-    tests assert both report identical optima. It is also markedly faster
-    (integer arithmetic, no tableau), which the ablation bench quantifies. *)
+    tests assert both report identical optima. It is also about twice as
+    fast (integer arithmetic, no tableau), which the ablation bench
+    quantifies. *)
 
 val repair :
   ?weights:(Events.Event.t -> int) ->

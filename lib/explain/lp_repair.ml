@@ -20,8 +20,8 @@ let build ?(weights = default_weight) ?(bounds = fun _ -> None) ?cutoff tuple in
   let vars =
     List.fold_left
       (fun acc e ->
-        let u = Simplex.add_var ~name:(e ^ ".u") model in
-        let v = Simplex.add_var ~name:(e ^ ".v") model in
+        let u = Simplex.add_var model in
+        let v = Simplex.add_var model in
         Event.Map.add e { u; v } acc)
       Event.Map.empty events
   in

@@ -2,8 +2,9 @@
 
     The L1 timestamp repair over a simple temporal network is the LP dual of
     a min-cost circulation; this solver provides an exact integral solution
-    path independent of {!Simplex}, used both as a faster repair engine and
-    as a cross-check in property tests (both must report the same optimum).
+    path independent of {!Simplex}, used both as an alternative repair
+    engine and as a cross-check in property tests (both must report the
+    same optimum).
 
     Costs and capacities are machine integers; flows and objective values of
     an optimal circulation are integral by construction. *)

@@ -7,7 +7,6 @@ type constr = { terms : (Rat.t * var) list; sense : sense; rhs : Rat.t }
 
 type model = {
   mutable nvars : int;
-  mutable names : string list; (* reversed *)
   mutable constraints : constr list; (* reversed *)
   mutable objective : (Rat.t * var) list;
 }
@@ -24,20 +23,12 @@ let phase2_c = Obs.counter "simplex.phase2_iters"
 let degenerate_c = Obs.counter "simplex.degenerate_pivots"
 let infeasible_c = Obs.counter "simplex.infeasible"
 
-let create () = { nvars = 0; names = []; constraints = []; objective = [] }
+let create () = { nvars = 0; constraints = []; objective = [] }
+let copy m = { nvars = m.nvars; constraints = m.constraints; objective = m.objective }
 
-let copy m =
-  {
-    nvars = m.nvars;
-    names = m.names;
-    constraints = m.constraints;
-    objective = m.objective;
-  }
-
-let add_var ?(name = "") m =
+let add_var m =
   let v = m.nvars in
   m.nvars <- v + 1;
-  m.names <- name :: m.names;
   v
 
 let num_vars m = m.nvars
@@ -56,6 +47,9 @@ let set_objective m terms =
     terms;
   m.objective <- terms
 
+(* Raised by phase 1 when the artificials cannot all reach zero. *)
+exception Phase1_infeasible
+
 (* The tableau holds one row per constraint plus a separate reduced-cost row.
    Column layout: structural variables, then slacks/surpluses, then
    artificials, then the right-hand side as the last column. *)
@@ -65,23 +59,47 @@ type tableau = {
   obj : Rat.t array; (* reduced costs; last cell = -(objective value) *)
   basis : int array; (* basis.(i) = column basic in row i *)
   width : int; (* number of variable columns (rhs excluded) *)
+  nz : int array; (* reused buffer: the pivot row's nonzero columns *)
 }
 
+(* [target <- target - f * src] over the columns [cols.(0 .. n-1)]; the
+   caller guarantees [src] is zero everywhere else, where the update would
+   leave [target] unchanged. *)
+let axpy target f src cols n =
+  for q = 0 to n - 1 do
+    let j = cols.(q) in
+    target.(j) <- Rat.sub target.(j) (Rat.mul f src.(j))
+  done
+
+(* The nonzero columns of [row], into [tb.nz]; returns their count. *)
+let nonzeros tb row =
+  let n = ref 0 in
+  for j = 0 to tb.width do
+    if Rat.sign row.(j) <> 0 then begin
+      tb.nz.(!n) <- j;
+      incr n
+    end
+  done;
+  !n
+
+(* The repair tableaux are mostly zeros (a difference constraint touches
+   four of the 2n structural columns), so the pivot works on the pivot
+   row's nonzero columns only: a zero cell divides to zero and eliminates
+   to no change, so the result is the dense pivot's, cell for cell. *)
 let pivot tb r c =
   Obs.incr pivots_c;
-  if Rat.sign tb.rows.(r).(tb.width) = 0 then Obs.incr degenerate_c;
-  let piv = tb.rows.(r).(c) in
-  assert (Rat.sign piv <> 0);
   let row = tb.rows.(r) in
-  for j = 0 to tb.width do
+  if Rat.sign row.(tb.width) = 0 then Obs.incr degenerate_c;
+  let piv = row.(c) in
+  assert (Rat.sign piv <> 0);
+  let n = nonzeros tb row in
+  for q = 0 to n - 1 do
+    let j = tb.nz.(q) in
     row.(j) <- Rat.div row.(j) piv
   done;
   let eliminate target =
     let f = target.(c) in
-    if Rat.sign f <> 0 then
-      for j = 0 to tb.width do
-        target.(j) <- Rat.sub target.(j) (Rat.mul f row.(j))
-      done
+    if Rat.sign f <> 0 then axpy target f row tb.nz n
   in
   Array.iteri (fun i target -> if i <> r then eliminate target) tb.rows;
   eliminate tb.obj;
@@ -179,7 +197,9 @@ let solve m =
           incr next_art
       | Le -> ())
     normalized;
-  let tb = { rows; obj = Array.make (width + 1) Rat.zero; basis; width } in
+  let tb =
+    { rows; obj = Array.make (width + 1) Rat.zero; basis; width; nz = Array.make (width + 1) 0 }
+  in
   (* Phase 1: minimise the sum of artificials. Reduced costs start as the
      raw costs (1 on artificial columns), then basic columns are priced out
      by subtracting their rows. *)
@@ -192,14 +212,13 @@ let solve m =
     Array.iteri
       (fun i b ->
         if b >= art_start then
-          for j = 0 to width do
-            tb.obj.(j) <- Rat.sub tb.obj.(j) tb.rows.(i).(j)
-          done)
+          let row = tb.rows.(i) in
+          axpy tb.obj Rat.one row tb.nz (nonzeros tb row))
       tb.basis;
     match optimize ~iters:phase1_c ~allowed:(fun _ -> true) tb with
     | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
     | `Optimal ->
-        if Rat.sign (Rat.neg tb.obj.(width)) > 0 then raise Exit
+        if Rat.sign (Rat.neg tb.obj.(width)) > 0 then raise Phase1_infeasible
         else
           (* Degenerate artificials may linger in the basis at value zero;
              pivot them out on any structural/slack column, or leave them
@@ -228,10 +247,8 @@ let solve m =
   Array.iteri
     (fun i b ->
       if b >= 0 && b < width && Rat.sign cost.(b) <> 0 then
-        let f = cost.(b) in
-        for j = 0 to width do
-          tb.obj.(j) <- Rat.sub tb.obj.(j) (Rat.mul f tb.rows.(i).(j))
-        done)
+        let row = tb.rows.(i) in
+        axpy tb.obj cost.(b) row tb.nz (nonzeros tb row))
     tb.basis;
   if Obs.Trace.should_emit () then
     Obs.Trace.emit (Obs.Trace.Simplex_phase { phase = 2 });
@@ -251,7 +268,7 @@ let solve m =
 
 let solve_checked m =
   try solve m
-  with Exit ->
+  with Phase1_infeasible ->
     Obs.incr infeasible_c;
     Infeasible
 

@@ -6,7 +6,9 @@
     reports true optima — in particular it lets the test suite observe that
     the timestamp-modification LP always has integral optima (its constraint
     matrix is a difference system, hence totally unimodular). Bland's rule
-    guarantees termination in the presence of degeneracy.
+    guarantees termination in the presence of degeneracy. A pivot only
+    touches the columns where the pivot row is nonzero, which on the
+    mostly-zero repair tableaux is a few cells per row.
 
     The model is: minimize [c^T x] subject to linear constraints, with every
     variable implicitly non-negative (which is what the u/v substitution of
@@ -25,7 +27,7 @@ val copy : model -> model
 (** Independent copy; constraints added to one are invisible to the other
     (branch-and-bound relies on this). *)
 
-val add_var : ?name:string -> model -> var
+val add_var : model -> var
 (** Fresh non-negative variable. *)
 
 val num_vars : model -> int

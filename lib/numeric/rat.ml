@@ -14,34 +14,51 @@ let minus_one = of_int (-1)
 let num r = r.num
 let den r = r.den
 
+(* Integer fast paths: when both denominators are 1, every gcd below is 1
+   and [make] has nothing to reduce, so [add], [sub], [mul] and [compare]
+   reduce to the one checked integer operation the general path performs
+   on the numerators — same value, same [Checked.Overflow]. The simplex
+   tableaux of the repair LPs are integral almost everywhere. *)
+
 (* a/b + c/d computed via the reduced denominators to delay overflow:
    g = gcd(b, d); result = (a*(d/g) + c*(b/g)) / (b*(d/g)). *)
 let add a b =
-  let g = Checked.gcd a.den b.den in
-  let db = b.den / g and da = a.den / g in
-  make (Checked.add (Checked.mul a.num db) (Checked.mul b.num da)) (Checked.mul a.den db)
+  if a.den = 1 && b.den = 1 then { num = Checked.add a.num b.num; den = 1 }
+  else
+    let g = Checked.gcd a.den b.den in
+    let db = b.den / g and da = a.den / g in
+    make (Checked.add (Checked.mul a.num db) (Checked.mul b.num da)) (Checked.mul a.den db)
 
 let neg a = { a with num = Checked.neg a.num }
-let sub a b = add a (neg b)
+
+let sub a b =
+  if a.den = 1 && b.den = 1 then { num = Checked.add a.num (Checked.neg b.num); den = 1 }
+  else add a (neg b)
 
 (* Cross-reduce before multiplying to keep intermediates small. *)
 let mul a b =
-  let g1 = Checked.gcd a.num b.den and g2 = Checked.gcd b.num a.den in
-  let g1 = if g1 = 0 then 1 else g1 and g2 = if g2 = 0 then 1 else g2 in
-  make
-    (Checked.mul (a.num / g1) (b.num / g2))
-    (Checked.mul (a.den / g2) (b.den / g1))
+  if a.den = 1 && b.den = 1 then { num = Checked.mul a.num b.num; den = 1 }
+  else
+    let g1 = Checked.gcd a.num b.den and g2 = Checked.gcd b.num a.den in
+    let g1 = if g1 = 0 then 1 else g1 and g2 = if g2 = 0 then 1 else g2 in
+    make
+      (Checked.mul (a.num / g1) (b.num / g2))
+      (Checked.mul (a.den / g2) (b.den / g1))
 
 let inv a = if a.num = 0 then raise Division_by_zero else make a.den a.num
-let div a b = mul a (inv b)
+
+(* Dividing by one is the identity ([a] is already normalized). *)
+let div a b = if b.num = 1 && b.den = 1 then a else mul a (inv b)
 let abs a = { a with num = Checked.abs a.num }
 let sign a = Int.compare a.num 0
 
 let compare a b =
-  (* Same trick as [add]: compare a.num*db with b.num*da. *)
-  let g = Checked.gcd a.den b.den in
-  let db = b.den / g and da = a.den / g in
-  Int.compare (Checked.mul a.num db) (Checked.mul b.num da)
+  if a.den = 1 && b.den = 1 then Int.compare a.num b.num
+  else
+    (* Same trick as [add]: compare a.num*db with b.num*da. *)
+    let g = Checked.gcd a.den b.den in
+    let db = b.den / g and da = a.den / g in
+    Int.compare (Checked.mul a.num db) (Checked.mul b.num da)
 
 let equal a b = a.num = b.num && a.den = b.den
 let min a b = if compare a b <= 0 then a else b

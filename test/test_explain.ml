@@ -326,6 +326,71 @@ let prop_brute_force_never_beats_exact =
 
 let qt = Gen.qt
 
+(* --- Pinned simplex pivot sequence ---
+
+   Bland's rule over exact rationals makes every pivot deterministic, so
+   the simplex counter deltas of a fixed workload pin the pivot sequence:
+   a different pivot rule, or any changed arithmetic result, moves them.
+   The expected values were recorded on the dense-pivot simplex. *)
+
+let counter_deltas names f =
+  let read () = List.map (fun n -> Option.value ~default:0 (Obs.find_counter n)) names in
+  let before = read () in
+  let x = f () in
+  (x, List.map2 ( - ) (read ()) before)
+
+let check_deltas names expected got =
+  List.iter2 (fun (name, e) g -> check_int name e g) (List.combine names expected) got
+
+let test_simplex_pin_table1 () =
+  let p0 = p "SEQ(AND(E1, E3) WITHIN 30, AND(E2, E4) WITHIN 30) ATLEAST 2 hours" in
+  let t2 = Tuple.of_list [ ("E1", 1026); ("E2", 1134); ("E3", 1044); ("E4", 1208) ] in
+  let names =
+    [ "simplex.pivots"; "simplex.phase1_iters"; "simplex.phase2_iters";
+      "simplex.degenerate_pivots"; "simplex.solves"; "simplex.infeasible" ]
+  in
+  let outcome, got = counter_deltas names (fun () -> Explain.Pipeline.explain [ p0 ] t2) in
+  (match outcome with
+  | Explain.Pipeline.Modify_timestamps m -> check_int "cost 44" 44 m.cost
+  | _ -> Alcotest.fail "expected a timestamp modification");
+  check_deltas names [ 142; 125; 7; 96; 17; 13 ] got
+
+(* A seeded sample of the bench's explain mix: faulted RTFM cases and
+   Flight days of 4 and 6 events, through [Pipeline.explain] at its
+   defaults. The digest covers every outcome and its bindings tried. *)
+let test_simplex_pin_sample () =
+  let prng = Numeric.Prng.create 13 in
+  let rtfm =
+    Datagen.Rtfm.generate prng ~tuples:100
+    |> Datagen.Faults.trace prng ~rate:0.5 ~distance:2000
+  in
+  let f4 = Datagen.Flight.generate prng ~num_events:4 ~days:16 in
+  let f6 = Datagen.Flight.generate prng ~num_events:6 ~days:3 in
+  let requests =
+    List.concat_map
+      (fun (ps, tr) -> List.map (fun (_, t) -> (ps, t)) (Events.Trace.bindings tr))
+      [ (Datagen.Rtfm.patterns, rtfm); ([ f4.pattern ], f4.observed);
+        ([ f6.pattern ], f6.observed) ]
+  in
+  let names = [ "simplex.pivots"; "simplex.solves" ] in
+  let digest, got =
+    counter_deltas names (fun () ->
+        let buf = Buffer.create 4096 in
+        List.iter
+          (fun (ps, t) ->
+            let o = Explain.Pipeline.explain ps t in
+            Buffer.add_string buf (Format.asprintf "%a" Explain.Pipeline.pp_outcome o);
+            (match o with
+            | Explain.Pipeline.Modify_timestamps m ->
+                Buffer.add_string buf (Printf.sprintf " [%d]" m.bindings_tried)
+            | _ -> ());
+            Buffer.add_char buf '\n')
+          requests;
+        Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  check_deltas names [ 5533; 490 ] got;
+  Alcotest.(check string) "outcome digest" "0c618caf7e67d5fc1a67b5fd7aa69916" digest
+
 let suite =
   ( "explain",
     [
@@ -368,4 +433,7 @@ let suite =
       Alcotest.test_case "greedy fixes a simple violation" `Quick test_greedy_simple_fix;
       qt prop_greedy_reports_match_truthfully;
       qt prop_brute_force_never_beats_exact;
+      Alcotest.test_case "simplex pivot pin: Table 1" `Quick test_simplex_pin_table1;
+      Alcotest.test_case "simplex pivot pin: RTFM + Flight sample" `Quick
+        test_simplex_pin_sample;
     ] )

@@ -93,6 +93,67 @@ let prop_floor_ceil =
       && c - f <= 1
       && (Rat.is_integer a = (f = c)))
 
+(* Integer-heavy operands for the integer fast paths: mostly [den = 1],
+   some numerators near +-max_int/2 (their products overflow, their sums
+   and differences just fit). *)
+let int_heavy_gen : Rat.t QCheck.Gen.t =
+ fun st ->
+  let big = max_int / 2 in
+  let num =
+    match Random.State.int st 10 with
+    | 0 -> big - Random.State.int st 1000
+    | 1 -> Random.State.int st 1000 - big
+    | _ -> Random.State.int st 2001 - 1000
+  in
+  let den = if Random.State.int st 10 < 8 then 1 else 1 + Random.State.int st 50 in
+  Rat.make num den
+
+let arb_int_heavy2 =
+  let arb = QCheck.make ~print:Rat.to_string int_heavy_gen in
+  QCheck.pair arb arb
+
+(* [op ()] against a reference built with [Rat.make] from the
+   cross-multiplied numerator and denominator. Where the reference fits,
+   the values must be equal. Where it overflows, integer operands must
+   overflow too: their fast path is the same checked operation. Fractions
+   may still fit, since [Rat] reduces before it multiplies. *)
+let agrees ~ints op reference =
+  match reference () with
+  | r -> ( match op () with v -> Rat.equal v r | exception Checked.Overflow -> false)
+  | exception Checked.Overflow -> (
+      match op () with _ -> not ints | exception Checked.Overflow -> true)
+
+let prop_int_fast_paths =
+  QCheck.Test.make ~name:"rat integer fast paths = cross-multiplied references"
+    ~count:2000 arb_int_heavy2 (fun (a, b) ->
+      let an = Rat.num a and ad = Rat.den a and bn = Rat.num b and bd = Rat.den b in
+      let ints = ad = 1 && bd = 1 in
+      let cross f = f (Checked.mul an bd) (Checked.mul bn ad) in
+      agrees ~ints
+        (fun () -> Rat.add a b)
+        (fun () -> Rat.make (cross Checked.add) (Checked.mul ad bd))
+      && agrees ~ints
+           (fun () -> Rat.sub a b)
+           (fun () -> Rat.make (cross Checked.sub) (Checked.mul ad bd))
+      && agrees ~ints
+           (fun () -> Rat.mul a b)
+           (fun () -> Rat.make (Checked.mul an bn) (Checked.mul ad bd))
+      && (bn = 0
+         || agrees ~ints:false
+              (fun () -> Rat.div a b)
+              (fun () -> Rat.make (Checked.mul an bd) (Checked.mul ad bn)))
+      && (match cross Int.compare with
+         | c -> Rat.compare a b = c
+         | exception Checked.Overflow -> not ints))
+
+let test_rat_fast_path_overflow () =
+  let raises name f = Alcotest.check_raises name Checked.Overflow (fun () -> ignore (f ())) in
+  raises "max_int + 1" (fun () -> Rat.add (Rat.of_int max_int) Rat.one);
+  raises "max_int * 2" (fun () -> Rat.mul (Rat.of_int max_int) (Rat.of_int 2));
+  raises "min_int - 1" (fun () -> Rat.sub (Rat.of_int min_int) Rat.one);
+  Alcotest.check rat "x / 1 = x" (Rat.of_int max_int) (Rat.div (Rat.of_int max_int) Rat.one);
+  Alcotest.check rat "3/4 / 1" (Rat.make 3 4) (Rat.div (Rat.make 3 4) Rat.one)
+
 (* --- Prng --- *)
 
 let test_prng_deterministic () =
@@ -153,4 +214,6 @@ let suite =
       Alcotest.test_case "prng bounds" `Quick test_prng_bounds;
       Alcotest.test_case "prng uniformity" `Quick test_prng_uniformity;
       Alcotest.test_case "prng shuffle" `Quick test_prng_shuffle_permutes;
+      qt prop_int_fast_paths;
+      Alcotest.test_case "rat fast paths overflow" `Quick test_rat_fast_path_overflow;
     ] )
