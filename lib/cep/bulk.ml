@@ -8,6 +8,7 @@ let domains_c = Obs.counter "bulk.domains_spawned"
 let explained_c = Obs.counter "bulk.tuples_explained"
 let repaired_c = Obs.counter "bulk.tuples_repaired"
 let failed_c = Obs.counter "bulk.tuples_failed"
+let explain_trace_s = Obs.span "bulk.explain_trace"
 
 (* Split [items] into [k] round-robin chunks (balanced even when costs
    correlate with position), run [f] on each chunk in its own domain, and
@@ -73,6 +74,6 @@ let explain_trace ?domains ?strategy ?engine ?solver ?max_cost patterns trace =
           Obs.incr failed_c;
           tuple
   in
-  Obs.with_span "bulk.explain_trace" (fun () ->
+  Obs.time explain_trace_s (fun () ->
       map_tuples ?domains repair trace
       |> List.fold_left (fun acc (id, tuple) -> Trace.add id tuple acc) Trace.empty)

@@ -20,6 +20,7 @@ let pruned_plausibility_c = Obs.counter "bnb.pruned_plausibility"
 let resolves_c = Obs.counter "bnb.incumbent_resolves"
 let domains_c = Obs.counter "bnb.domains_spawned"
 let zero_stops_c = Obs.counter "bnb.zero_stops"
+let search_s = Obs.span "bnb.search"
 let gap_h = Obs.histogram "bnb.lb_gap"
 
 let rec atomic_min cell v =
@@ -54,7 +55,7 @@ let search ?(domains = 1)
         Lp_repair.t option) ?weights ?bounds (net : Tcn.Encode.set) tuple =
   if domains < 1 then invalid_arg "Bnb.search: domains must be >= 1";
   Obs.incr searches_c;
-  Obs.Trace.with_span "bnb.search" @@ fun () ->
+  Obs.time search_s @@ fun () ->
   let gammas = Array.of_list net.set_bindings in
   let ngammas = Array.length gammas in
   let choices = Array.map Tcn.Bindings.choices gammas in

@@ -39,7 +39,10 @@ let explains_c = Obs.counter "pipeline.explains"
 
 (* End-to-end explain latencies in microseconds: sub-millisecond for the
    typical query, with room for branch-and-bound blowups. *)
-let explain_buckets = [| 100; 250; 500; 1000; 2500; 5000; 10000; 50000; 250000 |]
+let explain_s =
+  Obs.span
+    ~buckets:[| 100; 250; 500; 1000; 2500; 5000; 10000; 50000; 250000 |]
+    "pipeline.explain"
 
 let explain_inner ?strategy ?engine ?solver ?max_cost patterns tuple =
   if Pattern.Matcher.matches_set tuple patterns then Already_answer
@@ -77,10 +80,10 @@ let explain ?strategy ?engine ?solver ?max_cost patterns tuple =
   let outcome =
     (* The pipeline is the outermost layer, so this is usually the call
        that starts the per-query trace; nested instrumented layers
-       attach to it as child spans. *)
-    Obs.Trace.with_trace "pipeline.explain" (fun () ->
-        Obs.with_span ~hist_buckets:explain_buckets "pipeline.explain"
-          (fun () ->
+       attach to it as child spans. Timed outside the trace scope, so
+       the trace root is its only [pipeline.explain] span. *)
+    Obs.time explain_s (fun () ->
+        Obs.Trace.with_trace "pipeline.explain" (fun () ->
             explain_inner ?strategy ?engine ?solver ?max_cost patterns tuple))
   in
   Obs.incr (outcome_counter outcome);

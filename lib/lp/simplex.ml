@@ -22,6 +22,7 @@ let phase1_c = Obs.counter "simplex.phase1_iters"
 let phase2_c = Obs.counter "simplex.phase2_iters"
 let degenerate_c = Obs.counter "simplex.degenerate_pivots"
 let infeasible_c = Obs.counter "simplex.infeasible"
+let solve_s = Obs.span "simplex.solve"
 
 let create () = { nvars = 0; constraints = []; objective = [] }
 let copy m = { nvars = m.nvars; constraints = m.constraints; objective = m.objective }
@@ -272,12 +273,10 @@ let solve_checked m =
     Obs.incr infeasible_c;
     Infeasible
 
-(* Direct call when tracing is off: the span wrapper (and its closure)
-   exists only on the sampled-in path. *)
 let solve m =
-  if Obs.Trace.should_emit () then
-    Obs.Trace.with_span "simplex.solve" (fun () ->
-        let outcome = solve_checked m in
+  Obs.time solve_s (fun () ->
+      let outcome = solve_checked m in
+      if Obs.Trace.should_emit () then
         Obs.Trace.emit
           (Obs.Trace.Simplex_outcome
              {
@@ -287,8 +286,7 @@ let solve m =
                  | Infeasible -> "infeasible"
                  | Unbounded -> "unbounded");
              });
-        outcome)
-  else solve_checked m
+      outcome)
 
 let pp_outcome ppf = function
   | Infeasible -> Format.fprintf ppf "infeasible"

@@ -8,7 +8,7 @@ type histogram = {
   h_sum : int Atomic.t;
 }
 
-type span = {
+type span_cells = {
   s_count : int Atomic.t;
   total_ns : int Atomic.t;
   max_ns : int Atomic.t;
@@ -18,7 +18,7 @@ type metric =
   | Counter of counter
   | Gauge of gauge
   | Hist of histogram
-  | Span of span
+  | Span of span_cells
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
@@ -89,12 +89,6 @@ let histogram ?(buckets = default_buckets) name =
         })
     (function Hist h -> Some h | _ -> None)
 
-let span name =
-  register name
-    (fun () ->
-      Span { s_count = Atomic.make 0; total_ns = Atomic.make 0; max_ns = Atomic.make 0 })
-    (function Span s -> Some s | _ -> None)
-
 let incr c = Atomic.incr c
 let add c n = ignore (Atomic.fetch_and_add c n)
 let value c = Atomic.get c
@@ -120,41 +114,43 @@ let observe h v =
   Atomic.incr h.h_count;
   ignore (Atomic.fetch_and_add h.h_sum v)
 
-(* Bumped by [reset]; an in-flight [with_span] that straddles a reset
-   would otherwise record a pre-reset start time into a zeroed cell. *)
+(* The one clock behind every span, trace event and request stage: wall
+   time, so intervals line up with GC pauses and across domains. *)
+let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+(* The request-scope field a stage span's duration also lands in. *)
+type stage = Read | Service | Write
+
+type span = {
+  sp_name : string;
+  sp_cells : span_cells;
+  sp_hist : histogram option;  (* [sp_name ^ ".duration_us"], microseconds *)
+  sp_stage : stage option;
+}
+
+let span ?buckets name =
+  let cells () =
+    let z () = Atomic.make 0 in
+    Span { s_count = z (); total_ns = z (); max_ns = z () }
+  in
+  let hist buckets = histogram ~buckets (name ^ ".duration_us") in
+  {
+    sp_name = name;
+    sp_cells = register name cells (function Span s -> Some s | _ -> None);
+    sp_hist = Option.map hist buckets;
+    sp_stage = None;
+  }
+
+(* Bumped by [reset]; a [time] in flight across a reset would otherwise
+   record a pre-reset start time into a zeroed cell. *)
 let generation = Atomic.make 0
 
-let span_hist_suffix = ".duration_us"
-
-let with_span ?hist_buckets name f =
-  let s = span name in
-  let h =
-    match hist_buckets with
-    | None -> None
-    | Some buckets -> Some (histogram ~buckets (name ^ span_hist_suffix))
-  in
-  let g0 = Atomic.get generation in
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      if Atomic.get generation = g0 then begin
-        let dt = Unix.gettimeofday () -. t0 in
-        let ns = int_of_float (dt *. 1e9) in
-        Atomic.incr s.s_count;
-        ignore (Atomic.fetch_and_add s.total_ns ns);
-        atomic_max s.max_ns ns;
-        match h with None -> () | Some h -> observe h (ns / 1000)
-      end)
-    f
-
-let observe_span ?hist_buckets name ~ns =
-  let s = span name in
-  Atomic.incr s.s_count;
-  ignore (Atomic.fetch_and_add s.total_ns ns);
-  atomic_max s.max_ns ns;
-  match hist_buckets with
-  | None -> ()
-  | Some buckets -> observe (histogram ~buckets (name ^ span_hist_suffix)) (ns / 1000)
+let aggregate s ns =
+  let c = s.sp_cells in
+  Atomic.incr c.s_count;
+  ignore (Atomic.fetch_and_add c.total_ns ns);
+  atomic_max c.max_ns ns;
+  match s.sp_hist with None -> () | Some h -> observe h (ns / 1000)
 
 let find name =
   Mutex.lock lock;
@@ -361,7 +357,7 @@ module Trace = struct
      current span, whether the trace was sampled into the ring, and the
      request buffer (if any) capturing it. *)
   type ctx = {
-    mutable depth : int; (* nesting of [with_trace] *)
+    mutable c_in_trace : bool; (* inside a trace or capture scope *)
     mutable c_active : bool;
     mutable c_trace : int;
     mutable c_span : int;
@@ -370,7 +366,8 @@ module Trace = struct
 
   let ctx_key =
     Domain.DLS.new_key (fun () ->
-        { depth = 0; c_active = false; c_trace = 0; c_span = 0; c_buf = None })
+        { c_in_trace = false; c_active = false; c_trace = 0; c_span = 0;
+          c_buf = None })
 
   let ctx () = Domain.DLS.get ctx_key
 
@@ -378,7 +375,7 @@ module Trace = struct
 
   let reset_ctx () =
     let c = ctx () in
-    c.depth <- 0;
+    c.c_in_trace <- false;
     c.c_active <- false;
     c.c_trace <- 0;
     c.c_span <- 0;
@@ -431,8 +428,6 @@ module Trace = struct
       match (ctx ()).c_buf with Some _ -> true | None -> false
     else false
 
-  let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
   let record_at ~ts_ns ~span kind =
     let c = ctx () in
     let ev =
@@ -449,83 +444,78 @@ module Trace = struct
 
   let emit kind = if should_emit () then record ~span:(ctx ()).c_span kind
 
-  let with_span name f =
+  (* Every span, timed or not, opens and closes through these two: the
+     open makes the new span the domain's current one, the close restores
+     its parent. Callers check [should_emit] first. *)
+  let open_span name ~ts_ns =
+    let c = ctx () in
+    let parent = c.c_span in
+    let id = 1 + Atomic.fetch_and_add span_seq 1 in
+    record_at ~ts_ns ~span:id (Span_open { name; parent });
+    c.c_span <- id;
+    (id, parent)
+
+  let close_span name ~id ~parent ~ts_ns =
+    (ctx ()).c_span <- parent;
+    record_at ~ts_ns ~span:id (Span_close { name })
+
+  (* An untimed span around [f]: the root of a trace or capture scope, or
+     a nested [with_trace]. *)
+  let in_span name f =
     if not (should_emit ()) then f ()
     else begin
-      let c = ctx () in
-      let parent = c.c_span in
-      let id = 1 + Atomic.fetch_and_add span_seq 1 in
-      record ~span:id (Span_open { name; parent });
-      c.c_span <- id;
+      let id, parent = open_span name ~ts_ns:(now_ns ()) in
       Fun.protect
-        ~finally:(fun () ->
-          c.c_span <- parent;
-          record ~span:id (Span_close { name }))
+        ~finally:(fun () -> close_span name ~id ~parent ~ts_ns:(now_ns ()))
         f
     end
 
-  let with_trace name f =
-    if not (Atomic.get enabled) then f ()
-    else begin
-      let c = ctx () in
-      if c.depth > 0 then begin
-        (* Nested query scope: stay in the enclosing trace, just open a
-           child span (suppressed with the rest if the trace was sampled
-           out). *)
-        c.depth <- c.depth + 1;
-        Fun.protect
-          ~finally:(fun () -> c.depth <- c.depth - 1)
-          (fun () -> with_span name f)
-      end
-      else begin
-        let n = 1 + Atomic.fetch_and_add trace_seq 1 in
-        let active = (n - 1) mod Atomic.get sample_every = 0 in
-        c.depth <- 1;
-        c.c_active <- active;
-        c.c_trace <- n;
-        c.c_span <- 0;
-        Fun.protect
-          ~finally:(fun () ->
-            c.depth <- 0;
-            c.c_active <- false;
-            c.c_trace <- 0;
-            c.c_span <- 0)
-          (fun () -> with_span name f)
-      end
-    end
-
-  let span_interval name ~t0_ns ~t1_ns =
-    if should_emit () then begin
-      let c = ctx () in
-      let parent = c.c_span in
-      let id = 1 + Atomic.fetch_and_add span_seq 1 in
-      record_at ~ts_ns:t0_ns ~span:id (Span_open { name; parent });
-      record_at ~ts_ns:t1_ns ~span:id (Span_close { name })
-    end
-
-  let with_capture buf name f =
+  (* Run [f] at another trace position, restoring the caller's on exit
+     (also when [f] raises): the one save/restore behind [with_trace],
+     [with_capture] and [with_context]. A position with a capture buffer
+     counts as a live capture while it lasts. *)
+  let at_position ~in_trace ~active ~trace ~span ~buf f =
     let c = ctx () in
-    let saved = (c.depth, c.c_active, c.c_trace, c.c_span, c.c_buf) in
-    let n = 1 + Atomic.fetch_and_add trace_seq 1 in
-    let ring_active =
-      Atomic.get enabled && (n - 1) mod Atomic.get sample_every = 0
-    in
-    Atomic.incr captures_live;
-    c.depth <- 1;
-    c.c_active <- ring_active;
-    c.c_trace <- n;
-    c.c_span <- 0;
-    c.c_buf <- Some buf;
+    let i = c.c_in_trace and a = c.c_active and t = c.c_trace in
+    let s = c.c_span and b = c.c_buf in
+    let capturing = Option.is_some buf in
+    if capturing then Atomic.incr captures_live;
+    c.c_in_trace <- in_trace;
+    c.c_active <- active;
+    c.c_trace <- trace;
+    c.c_span <- span;
+    c.c_buf <- buf;
     Fun.protect
       ~finally:(fun () ->
-        let d, a, t, s, bf = saved in
-        c.depth <- d;
+        c.c_in_trace <- i;
         c.c_active <- a;
         c.c_trace <- t;
         c.c_span <- s;
-        c.c_buf <- bf;
-        Atomic.decr captures_live)
-      (fun () -> with_span name f)
+        c.c_buf <- b;
+        if capturing then Atomic.decr captures_live)
+      f
+
+  (* A new top-level trace id, and whether the ring samples it in. *)
+  let next_trace () =
+    let n = 1 + Atomic.fetch_and_add trace_seq 1 in
+    (n, Atomic.get enabled && (n - 1) mod Atomic.get sample_every = 0)
+
+  let with_trace name f =
+    if not (Atomic.get enabled) then f ()
+    else if (ctx ()).c_in_trace then
+      (* Nested query scope: stay in the enclosing trace, just open a
+         child span (suppressed with the rest if the trace was sampled
+         out). *)
+      in_span name f
+    else
+      let trace, active = next_trace () in
+      at_position ~in_trace:true ~active ~trace ~span:0 ~buf:None (fun () ->
+          in_span name f)
+
+  let with_capture buf name f =
+    let trace, active = next_trace () in
+    at_position ~in_trace:true ~active ~trace ~span:0 ~buf:(Some buf) (fun () ->
+        in_span name f)
 
   type context = {
     x_active : bool;
@@ -547,25 +537,9 @@ module Trace = struct
     x.x_active || (match x.x_buf with Some _ -> true | None -> false)
 
   let with_context x f =
-    let c = ctx () in
-    let saved = (c.depth, c.c_active, c.c_trace, c.c_span, c.c_buf) in
-    let adopted_buf = match x.x_buf with Some _ -> true | None -> false in
-    if adopted_buf then Atomic.incr captures_live;
-    c.depth <- (if x.x_trace > 0 then 1 else 0);
-    c.c_active <- x.x_active;
-    c.c_trace <- x.x_trace;
-    c.c_span <- x.x_span;
-    c.c_buf <- x.x_buf;
-    Fun.protect
-      ~finally:(fun () ->
-        let d, a, t, s, bf = saved in
-        c.depth <- d;
-        c.c_active <- a;
-        c.c_trace <- t;
-        c.c_span <- s;
-        c.c_buf <- bf;
-        if adopted_buf then Atomic.decr captures_live)
-      f
+    at_position
+      ~in_trace:(x.x_trace > 0)
+      ~active:x.x_active ~trace:x.x_trace ~span:x.x_span ~buf:x.x_buf f
 
   let emitted () = Atomic.get cursor
   let dropped () = Atomic.get dropped_n
@@ -948,9 +922,9 @@ module Rt_events = struct
       (* drain whatever predates this start so the calibration anchor
          below pairs with a fresh pause, not a stale ring entry *)
       ignore (poll_now ());
-      let w0 = Trace.now_ns () in
+      let w0 = now_ns () in
       Gc.minor ();
-      let w1 = Trace.now_ns () in
+      let w1 = now_ns () in
       Mutex.lock rt_lock;
       (* discard drain-decoded state (its wall anchor is unknown), plant
          the anchor, and decode the forced minor collection: its begin
@@ -1217,7 +1191,7 @@ module Request = struct
 
   type scope = {
     sc_id : string;
-    sc_start : float;
+    sc_start_ns : int;
     sc_buf : Trace.buffer option;
     mutable sc_meth : string;
     mutable sc_path : string;
@@ -1240,10 +1214,14 @@ module Request = struct
   let set_bytes_in sc n = sc.sc_bytes_in <- n
   let set_bytes_out sc n = sc.sc_bytes_out <- n
   let set_keep_alive sc b = sc.sc_keep_alive <- b
-  let set_read sc ns = sc.sc_read_ns <- ns
-  let set_service sc ns = sc.sc_service_ns <- ns
-  let set_write sc ns = sc.sc_write_ns <- ns
   let abandon sc = sc.sc_abandoned <- true
+
+  let stage_span stage name =
+    { (span ~buckets:latency_buckets name) with sp_stage = Some stage }
+
+  let read = stage_span Read "serve.request.read"
+  let service = stage_span Service "serve.request.service"
+  let write = stage_span Write "serve.request.write"
 
   (* The accepting domain's current scope, so verdict renderers deep
      inside [Service] can stamp the request id — and ingest routing can
@@ -1257,6 +1235,17 @@ module Request = struct
     match Domain.DLS.get scope_key with
     | Some sc -> Some sc.sc_id
     | None -> None
+
+  (* A stage span closed on the domain running the turn: its duration is
+     that stage of the current scope. *)
+  let set_stage stage ns =
+    match Domain.DLS.get scope_key with
+    | None -> ()
+    | Some sc -> (
+        match stage with
+        | Read -> sc.sc_read_ns <- ns
+        | Service -> sc.sc_service_ns <- ns
+        | Write -> sc.sc_write_ns <- ns)
 
   (* Shard visibility: [Service.ingest_body] notes the shard index each
      batch line was routed to. Single-writer — only the accepting domain
@@ -1309,11 +1298,11 @@ module Request = struct
 
   let info_of sc =
     (* Reconstruct the request's stage intervals on the wall clock:
-       [sc_start] is taken right as the connection turn begins, and
+       [sc_start_ns] is taken right as the connection turn begins, and
        read/service/write follow in order. Overlapping the recorded GC
        pauses against these intervals attributes each pause to the stage
        it actually stalled. *)
-    let w0 = int_of_float (sc.sc_start *. 1e9) in
+    let w0 = sc.sc_start_ns in
     let read_end = w0 + sc.sc_read_ns in
     let service_end = read_end + sc.sc_service_ns in
     let w1 = service_end + sc.sc_write_ns in
@@ -1332,12 +1321,11 @@ module Request = struct
       r_bytes_out = sc.sc_bytes_out;
       r_shed = sc.sc_status = 429;
       r_keep_alive = sc.sc_keep_alive;
-      r_start_ms = int_of_float (sc.sc_start *. 1e3);
+      r_start_ms = sc.sc_start_ns / 1_000_000;
       r_read_us = us_of_ns sc.sc_read_ns;
       r_service_us = us_of_ns sc.sc_service_ns;
       r_write_us = us_of_ns sc.sc_write_ns;
-      r_total_us =
-        int_of_float ((Unix.gettimeofday () -. sc.sc_start) *. 1e6);
+      r_total_us = (now_ns () - sc.sc_start_ns) / 1000;
       r_shards = List.sort Int.compare sc.sc_shards;
       r_gc_pauses = pauses;
       r_gc_overlap_us = ov w0 w1;
@@ -1400,7 +1388,7 @@ module Request = struct
     let sc =
       {
         sc_id = rid;
-        sc_start = Unix.gettimeofday ();
+        sc_start_ns = now_ns ();
         sc_buf = buf;
         sc_meth = "-";
         sc_path = "-";
@@ -1427,6 +1415,37 @@ module Request = struct
         | Some b -> Trace.with_capture b "serve.request" (fun () -> f sc)
         | None -> f sc)
 end
+
+(* --- timing a stage: one clock, three sinks ---------------------------- *)
+
+(* Close a span that opened at [t0] (as trace span [id], child of
+   [parent], when [id > 0]) and feed its duration to the aggregate cells
+   and, for a stage span, the current request scope. *)
+let finish s ~g0 ~id ~parent ~t0 ~t1 =
+  if id > 0 then Trace.close_span s.sp_name ~id ~parent ~ts_ns:t1;
+  let ns = t1 - t0 in
+  if Atomic.get generation = g0 then aggregate s ns;
+  match s.sp_stage with None -> () | Some st -> Request.set_stage st ns
+
+let start s ~t0 =
+  if Trace.should_emit () then Trace.open_span s.sp_name ~ts_ns:t0 else (0, 0)
+
+let time s f =
+  let g0 = Atomic.get generation in
+  let t0 = now_ns () in
+  let id, parent = start s ~t0 in
+  match f () with
+  | v ->
+      finish s ~g0 ~id ~parent ~t0 ~t1:(now_ns ());
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      finish s ~g0 ~id ~parent ~t0 ~t1:(now_ns ());
+      Printexc.raise_with_backtrace e bt
+
+let elapsed s ~t0_ns ~t1_ns =
+  let id, parent = start s ~t0:t0_ns in
+  finish s ~g0:(Atomic.get generation) ~id ~parent ~t0:t0_ns ~t1:t1_ns
 
 (* --- runtime / GC gauges ------------------------------------------------ *)
 

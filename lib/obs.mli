@@ -41,8 +41,8 @@ val histogram : ?buckets:int array -> string -> histogram
 val default_buckets : int array
 
 val latency_buckets : int array
-(** Microsecond bucket bounds shared by the request-stage [*.duration_us]
-    latency histograms ([serve.shard.service], [serve.request.write]),
+(** Microsecond bucket bounds shared by the [*.duration_us] latency
+    histograms of the [serve.*] stage spans,
     [runtime.gc.pause.duration_us] and [serve.request.gc_overlap_us]:
     50us at the fast end, 1s at the tail, so stage, pause and overlap
     percentiles are computed on the same grid. *)
@@ -62,28 +62,39 @@ val gauge_value : gauge -> int
 val observe : histogram -> int -> unit
 (** Record one sample into the bucket of the smallest bound [>=] sample. *)
 
-val with_span : ?hist_buckets:int array -> string -> (unit -> 'a) -> 'a
-(** [with_span label f] runs [f ()] and aggregates its wall-clock
-    duration (count / total / max, nanoseconds) under [label]. The
-    duration is recorded even when [f] raises. Span registration is
-    keyed like any other metric; @raise Invalid_argument on a kind
-    clash.
+(** {1 Timing a stage} *)
 
-    With [hist_buckets], each duration is additionally observed — in
-    {e microseconds} — into a histogram registered as
-    [label ^ ".duration_us"] with those bucket bounds, so percentile
-    (p50/p95) latency series can be derived from the [_bucket] counts
-    exposed by {!Report.Prom_text}. As with {!histogram}, the first
-    registration's bounds win. *)
+type span
+(** One timed stage: a handle on its aggregate cells (count / total /
+    max wall-clock nanoseconds) and, optionally, its latency histogram. *)
 
-val observe_span : ?hist_buckets:int array -> string -> ns:int -> unit
-(** [observe_span label ~ns] records one externally measured duration
-    (nanoseconds) into the span metric registered under [label] —
-    count / total / max, exactly as {!with_span} would — for intervals
-    that cannot be wrapped in a closure (a queue wait that elapsed
-    before the measuring scope opened, a write timed alongside other
-    bookkeeping). [hist_buckets] derives the same
-    [label ^ ".duration_us"] microsecond histogram as {!with_span}. *)
+val span : ?buckets:int array -> string -> span
+(** [span name] registers (get-or-create) the span [name]. With
+    [buckets], each duration is also observed — in {e microseconds} —
+    into a histogram registered as [name ^ ".duration_us"] with those
+    bounds, so percentile series can be derived from the [_bucket]
+    counts exposed by {!Report.Prom_text}; as with {!histogram}, the
+    first registration's bounds win. Like every handle, obtain it once
+    at module initialisation. @raise Invalid_argument on a kind clash. *)
+
+val time : span -> (unit -> 'a) -> 'a
+(** [time s f] runs [f ()] and reads {!now_ns} once before and once
+    after it. The duration is recorded even when [f] raises, into:
+    - the aggregate cells of [s] (and its histogram), always;
+    - a child span of the calling domain's current trace span, when
+      {!Trace.should_emit} holds (a sampled-in trace or a capture);
+    - the calling domain's {!Request} scope, for the stage spans
+      {!Request.read}, {!Request.service} and {!Request.write}. *)
+
+val elapsed : span -> t0_ns:int -> t1_ns:int -> unit
+(** [elapsed s ~t0_ns ~t1_ns] records an interval that has already
+    passed exactly as {!time} would have recorded it — for a job's wait
+    in a queue, which ends before the worker can open any scope. *)
+
+val now_ns : unit -> int
+(** The one clock behind spans, trace events and request stages:
+    wall-clock nanoseconds, so intervals line up with {!Rt_events}
+    pauses and across domains. *)
 
 (** {1 Snapshot / reset} *)
 
@@ -116,7 +127,7 @@ val find_histogram : string -> hist_snapshot option
 
 val reset : unit -> unit
 (** Zero every registered metric (registrations are kept). A
-    {!with_span} in flight across a [reset] records {e nothing}: its
+    {!time} in flight across a [reset] records {e nothing}: its
     start time predates the reset, so folding it into the zeroed cell
     would fabricate pre-reset wall-clock. *)
 
@@ -126,16 +137,16 @@ val snapshot : unit -> snapshot
 
     A {e trace} is one top-level query — one {!Trace.with_trace} scope:
     a pipeline explain, a consistency check, a detector feed. Inside it,
-    {!Trace.with_span} opens nested scopes forming the trace tree, and
+    {!Obs.time} opens nested spans forming the trace tree, and
     {!Trace.emit} records typed point events (search prunes, STN
     pushes, simplex phases, ...). Events land in one process-wide
     bounded ring buffer: a writer claims a slot with a single
     fetch-and-add (lock-free, domain-safe); claims past the end are
     counted as drops, never blocked on.
 
-    {b Cost.} With tracing disabled (the default), every instrumented
-    site reduces to one atomic load and a branch — no allocation, no
-    ring traffic. [with_trace]/[with_span] are identity wrappers. With
+    {b Cost.} With tracing disabled (the default), every trace site —
+    {!emit}, [with_trace] and the trace half of {!Obs.time} — reduces to
+    one atomic load and a branch: no allocation, no ring traffic. With
     tracing enabled, a sampled-out trace suppresses all its spans and
     events at the same single-load cost.
 
@@ -237,19 +248,6 @@ module Trace : sig
       and opens its root span. Nested calls do {e not} start a new
       trace — they open a child span of the enclosing one, so
       instrumented layers compose safely. Exception-safe. *)
-
-  val with_span : string -> (unit -> 'a) -> 'a
-  (** Child span of the current span; identity when no sampled-in trace
-      is active. Exception-safe: the close event is recorded even when
-      [f] raises. *)
-
-  val span_interval : string -> t0_ns:int -> t1_ns:int -> unit
-  (** Record an already-elapsed interval as a span: a
-      [Span_open]/[Span_close] pair with the given wall-clock
-      timestamps, parented under the current span. Used for backdated
-      stages — a shard job's wait in its queue ends before the worker
-      can open any measuring scope for it. Cheap no-op when
-      {!should_emit} is false. *)
 
   (** {1 Cross-domain propagation} *)
 
@@ -562,10 +560,13 @@ module Request : sig
       ingest path as it keys each batch line, from the domain running
       the turn. *)
 
-  val set_read : scope -> int -> unit
-  val set_service : scope -> int -> unit
-  val set_write : scope -> int -> unit
-  (** Stage timings, nanoseconds. *)
+  val read : span
+  val service : span
+  val write : span
+  (** The turn's stages — [serve.request.read], [serve.request.service]
+      (the handler) and [serve.request.write], each with a [.duration_us]
+      histogram on {!latency_buckets}. {!time} them on the domain running
+      the turn and each duration also lands in its scope. *)
 
   val abandon : scope -> unit
   (** Mark the scope as a non-request (a keep-alive connection that

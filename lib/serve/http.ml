@@ -11,8 +11,6 @@
 
 let keepalive_c = Obs.counter "serve.keepalive.reuses"
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 type request = {
   meth : string;
   path : string;
@@ -65,14 +63,36 @@ let max_body_bytes = 16 * 1024 * 1024
    default, so one chatty client cannot monopolize a worker forever. *)
 let default_keepalive_limit = 100
 
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.equal (String.sub s i m) sub then Some i
-    else go (i + 1)
+(* First index [>= from] at which [sub] occurs in the [n] bytes that
+   [get] reads, compared in place. *)
+let index_sub ~get n sub from =
+  let m = String.length sub in
+  let rec matches i j =
+    j = m || (Char.equal (get (i + j)) sub.[j] && matches i (j + 1))
   in
-  if m = 0 then Some from else go from
+  let rec go i =
+    if i + m > n then None else if matches i 0 then Some i else go (i + 1)
+  in
+  go from
+
+let find_sub s sub from =
+  index_sub ~get:(String.get s) (String.length s) sub from
+
+(* RFC 9110 section 8.6: Content-Length = 1*DIGIT. [int_of_string_opt]
+   would also take "0x9", "0b1001", "+9", "1_0" and the like; a value
+   past [max_int] is rejected as well. *)
+let content_length_of v =
+  let n = String.length v in
+  let rec go i acc =
+    if i = n then Some acc
+    else
+      match v.[i] with
+      | '0' .. '9' as c ->
+          let d = Char.code c - Char.code '0' in
+          if acc > (max_int - d) / 10 then None else go (i + 1) ((acc * 10) + d)
+      | _ -> None
+  in
+  if n = 0 then None else go 0 0
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -163,36 +183,37 @@ let recv_request fd pending =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         raise Read_timed_out
   in
-  let rec head_end () =
-    match find_sub (Buffer.contents buf) "\r\n\r\n" 0 with
+  (* Each refill resumes the terminator scan 3 bytes before the old end,
+     in case a "\r\n\r\n" straddles the two reads, so the whole head is
+     scanned once. *)
+  let rec head_end from =
+    let n = Buffer.length buf in
+    match index_sub ~get:(Buffer.nth buf) n "\r\n\r\n" from with
     | Some i -> Ok (i + 4)
     | None ->
-        if Buffer.length buf > max_head_bytes then
-          Error (400, "request headers too large")
+        if n > max_head_bytes then Error (400, "request headers too large")
         else if refill () = 0 then
-          if Buffer.length buf = 0 then Error (0, "") (* clean close *)
+          if n = 0 then Error (0, "") (* clean close *)
           else Error (400, "truncated request")
-        else head_end ()
+        else head_end (max 0 (n - 3))
   in
   let finish status msg =
     if status = 0 then Closed else Fail (status, msg)
   in
   try
-    match head_end () with
+    match head_end 0 with
     | Error (status, msg) -> finish status msg
     | Ok body_start -> (
-        match
-          parse_head (String.sub (Buffer.contents buf) 0 (body_start - 4))
-        with
+        match parse_head (Buffer.sub buf 0 (body_start - 4)) with
         | Error msg -> Fail (400, msg)
         | Ok (meth, path, headers) -> (
             let content_length =
               match header_value headers "content-length" with
               | None -> Ok 0
               | Some v -> (
-                  match int_of_string_opt v with
-                  | Some n when n >= 0 -> Ok n
-                  | _ -> Error (400, "bad content-length"))
+                  match content_length_of v with
+                  | Some n -> Ok n
+                  | None -> Error (400, "bad content-length"))
             in
             match content_length with
             | Error (status, msg) -> Fail (status, msg)
@@ -288,20 +309,11 @@ let wants_keep_alive (req : request) =
 
 (* The response-write leg, timed into the request scope and the
    [serve.request.write] span even when the peer resets mid-write (the
-   EPIPE propagates after the finally). *)
+   EPIPE propagates once the write is recorded). *)
 let write_timed sc ~keep_alive fd (resp : response) =
   Obs.Request.set_status sc resp.status;
   Obs.Request.set_bytes_out sc (String.length resp.body);
-  let t0 = now_ns () in
-  Fun.protect
-    ~finally:(fun () ->
-      let ns = now_ns () - t0 in
-      Obs.Request.set_write sc ns;
-      Obs.observe_span ~hist_buckets:Obs.latency_buckets "serve.request.write"
-        ~ns)
-    (fun () ->
-      Obs.Trace.with_span "serve.request.write" (fun () ->
-          write_response ~keep_alive fd resp))
+  Obs.time Obs.Request.write (fun () -> write_response ~keep_alive fd resp)
 
 (* One connection, possibly many requests: honor [Connection: keep-alive]
    up to [keepalive_limit] requests, each under the same I/O deadline.
@@ -331,12 +343,9 @@ let handle_conn ~io_timeout ~keepalive_limit t handler fd =
       let rec turn served =
         let keep_going =
           Obs.Request.with_scope (fun sc ->
-              let t0 = now_ns () in
               let received =
-                Obs.Trace.with_span "serve.request.read" (fun () ->
-                    recv_request fd pending)
+                Obs.time Obs.Request.read (fun () -> recv_request fd pending)
               in
-              Obs.Request.set_read sc (now_ns () - t0);
               match received with
               | Closed ->
                   Obs.Request.abandon sc;
@@ -355,9 +364,9 @@ let handle_conn ~io_timeout ~keepalive_limit t handler fd =
                   if served > 0 then Obs.incr keepalive_c;
                   Obs.Request.set_route sc ~meth:req.meth ~path:req.path;
                   Obs.Request.set_bytes_in sc (String.length req.body);
-                  let t_svc = now_ns () in
-                  let resp = handler req in
-                  Obs.Request.set_service sc (now_ns () - t_svc);
+                  let resp =
+                    Obs.time Obs.Request.service (fun () -> handler req)
+                  in
                   let keep_alive =
                     wants_keep_alive req
                     && served + 1 < keepalive_limit
@@ -615,7 +624,7 @@ module Client = struct
           | Error _ -> None
           | Ok (_, _, headers) ->
               Option.bind (header_value headers "content-length")
-                int_of_string_opt
+                content_length_of
         in
         match content_length with
         | None -> Error "malformed response: no content-length"

@@ -5,7 +5,16 @@ let ingest_errors_c = Obs.counter "serve.ingest.errors"
 
 (* Scrape latencies in microseconds: loopback render-and-serialize lands in
    the sub-millisecond decades, with headroom for GC-disturbed outliers. *)
-let scrape_buckets = [| 50; 100; 250; 500; 1000; 2500; 5000; 10000; 50000 |]
+let scrape_s =
+  Obs.span ~buckets:[| 50; 100; 250; 500; 1000; 2500; 5000; 10000; 50000 |]
+    "serve.scrape"
+
+let parse_s = Obs.span ~buckets:Obs.latency_buckets "serve.ingest.parse"
+let submit_s = Obs.span ~buckets:Obs.latency_buckets "serve.ingest.submit"
+
+let reassemble_s =
+  Obs.span ~buckets:Obs.latency_buckets "serve.ingest.reassemble"
+
 let prom_content_type = "text/plain; version=0.0.4; charset=utf-8"
 let jsonl_content_type = "application/x-ndjson"
 
@@ -99,7 +108,7 @@ let ingest_body t body =
   let slots = Array.make n `Skip in
   let batch = ref [] in
   let batched = ref 0 in
-  Obs.Trace.with_span "serve.ingest.parse" (fun () ->
+  Obs.time parse_s (fun () ->
       for i = 0 to n - 1 do
         match Ingest.parse_line ~lineno:(base + i) lines.(i) with
         | Ok None -> ()
@@ -118,8 +127,7 @@ let ingest_body t body =
   match
     (* the shard queue-wait and service spans open inside [submit]'s
        jobs, children of this span via the captured context *)
-    Obs.Trace.with_span "serve.ingest.submit" (fun () ->
-        Shard.submit t.pool batch)
+    Obs.time submit_s (fun () -> Shard.submit t.pool batch)
   with
   | Shard.Shed ->
       (* nothing was applied; give the line numbers back would race other
@@ -134,7 +142,7 @@ let ingest_body t body =
               :: request_id_field request_id))
         ^ "\n")
   | Shard.Processed results ->
-      Obs.Trace.with_span "serve.ingest.reassemble" (fun () ->
+      Obs.time reassemble_s (fun () ->
           let out = Buffer.create 256 in
           let jsonl json =
             Buffer.add_string out (Report.Json.to_string json);
@@ -165,7 +173,7 @@ let ingest_body t body =
           Http.response ~content_type:jsonl_content_type (Buffer.contents out))
 
 let metrics_body t =
-  Obs.with_span ~hist_buckets:scrape_buckets "serve.scrape" (fun () ->
+  Obs.time scrape_s (fun () ->
       Obs.Runtime.refresh ();
       Report.Prom_text.render ~help:t.help (Obs.snapshot ()))
 

@@ -31,6 +31,11 @@ let ingest_lines_c = Obs.counter "serve.ingest.lines"
 let ingest_errors_c = Obs.counter "serve.ingest.errors"
 let matches_c = Obs.counter "serve.matches"
 
+let queue_wait_s =
+  Obs.span ~buckets:Obs.latency_buckets "serve.shard.queue_wait"
+
+let service_s = Obs.span ~buckets:Obs.latency_buckets "serve.shard.service"
+
 type keystate = {
   det : Cep.Detector.t;
   mutable pressured : bool;
@@ -55,8 +60,6 @@ type job = {
          join its tree (and capture buffer) *)
   enqueued_ns : int;  (* when the job entered the shard queue *)
 }
-
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 type shard = {
   index : int;
@@ -147,12 +150,11 @@ let feed_keyed t shard ~key (inst : Cep.Detector.instance) =
       Ok matches
 
 let run_job t shard job =
-  let t0 = now_ns () in
+  (* queue wait ended when this worker dequeued the job *)
+  let dequeued_ns = Obs.now_ns () in
   let work () =
-    (* queue wait ended when this worker dequeued the job *)
-    Obs.Trace.span_interval "serve.shard.queue_wait" ~t0_ns:job.enqueued_ns
-      ~t1_ns:t0;
-    Obs.Trace.with_span "serve.shard.service" (fun () ->
+    Obs.elapsed queue_wait_s ~t0_ns:job.enqueued_ns ~t1_ns:dequeued_ns;
+    Obs.time service_s (fun () ->
         if Obs.Trace.should_emit () then
           Obs.Trace.emit
             (Mark { label = Printf.sprintf "shard.%d" shard.index });
@@ -165,8 +167,6 @@ let run_job t shard job =
      record something — an untraced request costs the worker nothing. *)
   if Obs.Trace.context_active job.ctx then Obs.Trace.with_context job.ctx work
   else work ();
-  Obs.observe_span ~hist_buckets:Obs.latency_buckets "serve.shard.service"
-    ~ns:(now_ns () - t0);
   if Atomic.fetch_and_add job.cell.remaining (-1) = 1 then begin
     Mutex.lock job.cell.cm;
     Condition.broadcast job.cell.cv;
@@ -239,15 +239,12 @@ let submit t batch =
   else if not (threaded t) then begin
     (* inline mode runs on the caller's domain, inside the request's
        trace scope already — one shard-service span covers the batch *)
-    let t0 = now_ns () in
-    Obs.Trace.with_span "serve.shard.service" (fun () ->
+    Obs.time service_s (fun () ->
         Array.iteri
           (fun i (key, inst) ->
             let shard = t.shards.(shard_of_key t key) in
             results.(i) <- feed_keyed t shard ~key inst)
           batch);
-    Obs.observe_span ~hist_buckets:Obs.latency_buckets "serve.shard.service"
-      ~ns:(now_ns () - t0);
     Processed results
   end
   else begin
@@ -285,7 +282,7 @@ let submit t batch =
         involved
     in
     if admit then begin
-      let enqueued_ns = now_ns () in
+      let enqueued_ns = Obs.now_ns () in
       List.iter
         (fun s ->
           Queue.add

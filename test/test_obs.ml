@@ -85,27 +85,23 @@ let test_find_accessors () =
     (Obs.find_histogram "test.gauge" = None)
 
 let test_span_latency_histogram () =
+  let latspan = Obs.span ~buckets:[| 1_000; 1_000_000 |] "test.latspan" in
   Obs.reset ();
-  let out =
-    Obs.with_span ~hist_buckets:[| 1_000; 1_000_000 |] "test.latspan"
-      (fun () -> 99)
-  in
+  let out = Obs.time latspan (fun () -> 99) in
   check_int "wrapped value returned" 99 out;
   (match Obs.find_histogram "test.latspan.duration_us" with
   | Some hs ->
       check_int "one duration observed" 1 hs.Obs.h_count;
       check_int "derived histogram keeps the requested bounds" 2
         (List.length (List.filter (fun (b, _) -> b <> None) hs.Obs.h_buckets))
-  | None -> Alcotest.fail "with_span ~hist_buckets did not register");
-  ignore
-    (Obs.with_span ~hist_buckets:[| 1_000; 1_000_000 |] "test.latspan"
-       (fun () -> 0));
+  | None -> Alcotest.fail "span ~buckets did not register");
+  ignore (Obs.time latspan (fun () -> 0));
   (match Obs.find_histogram "test.latspan.duration_us" with
   | Some hs -> check_int "durations accumulate" 2 hs.Obs.h_count
   | None -> Alcotest.fail "histogram vanished");
   (* plain spans never grow a histogram *)
-  ignore (Obs.with_span "test.plainspan" (fun () -> ()));
-  check_bool "no histogram without hist_buckets" true
+  ignore (Obs.time (Obs.span "test.plainspan") (fun () -> ()));
+  check_bool "no histogram without buckets" true
     (Obs.find_histogram "test.plainspan.duration_us" = None)
 
 let test_log () =
@@ -316,14 +312,23 @@ let span_count name (snap : Obs.snapshot) =
   | None -> Alcotest.failf "span %s not in snapshot" name
 
 let test_span_semantics () =
+  let s = Obs.span "test.span" in
   Obs.reset ();
-  let r = Obs.with_span "test.span" (fun () -> 41 + 1) in
-  check_int "with_span returns the result" 42 r;
+  let r = Obs.time s (fun () -> 41 + 1) in
+  check_int "time returns the result" 42 r;
   check_int "span counted" 1 (span_count "test.span" (Obs.snapshot ()));
   check_bool "exception propagates" true
-    (try ignore (Obs.with_span "test.span" (fun () -> raise Exit)); false
+    (try ignore (Obs.time s (fun () -> raise Exit)); false
      with Exit -> true);
-  check_int "raising span still counted" 2 (span_count "test.span" (Obs.snapshot ()))
+  check_int "raising span still counted" 2 (span_count "test.span" (Obs.snapshot ()));
+  (* an interval that already passed lands in the same cells *)
+  let before = List.assoc "test.span" (Obs.snapshot ()).spans in
+  Obs.elapsed s ~t0_ns:1_000 ~t1_ns:7_000_000_000;
+  let after = List.assoc "test.span" (Obs.snapshot ()).spans in
+  check_int "elapsed counted" 3 after.Obs.s_count;
+  check_int "elapsed adds its duration" (before.Obs.total_ns + 6_999_999_000)
+    after.Obs.total_ns;
+  check_int "elapsed raises the max" 6_999_999_000 after.Obs.max_ns
 
 let json_no_timers () =
   (* Latency histograms (".duration_us") record wall-clock like spans do,
@@ -377,11 +382,12 @@ let test_snapshot_determinism () =
 (* A span in flight across a reset must not fold its pre-reset start
    time into the zeroed cell. *)
 let test_reset_during_span () =
+  let s = Obs.span "test.reset_span" in
   Obs.reset ();
-  Obs.with_span "test.reset_span" (fun () -> Obs.reset ());
+  Obs.time s (fun () -> Obs.reset ());
   check_int "straddling span records nothing"
     0 (span_count "test.reset_span" (Obs.snapshot ()));
-  ignore (Obs.with_span "test.reset_span" (fun () -> ()));
+  ignore (Obs.time s (fun () -> ()));
   check_int "next span records normally"
     1 (span_count "test.reset_span" (Obs.snapshot ()))
 
@@ -455,6 +461,52 @@ let test_snapshot_invariant_under_domains () =
   done;
   Atomic.set stop true;
   Domain.join writer
+
+(* Every metric registers at module initialisation (or when a service
+   creates its shards), never on the request path: the registry's names
+   after [Service.create] equal its names after one ingest, one scrape,
+   one /debug/slow and one explain. Its suite runs first, so no other
+   test has already registered a lazily created name. *)
+let registry_names () =
+  let s = Obs.snapshot () in
+  List.map fst s.counters @ List.map fst s.gauges @ List.map fst s.histograms
+  @ List.map fst s.spans
+  |> List.sort String.compare
+
+let test_no_request_path_registration () =
+  let q = [ Pattern.Parse.pattern_exn "SEQ(A, B) WITHIN 20" ] in
+  let service = Serve.Service.create q in
+  let before = registry_names () in
+  let server = Serve.Http.listen ~port:0 () in
+  let d =
+    Domain.spawn (fun () ->
+        Serve.Http.serve server (Serve.Service.handle service))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Http.stop server;
+      Domain.join d;
+      Serve.Service.shutdown service)
+    (fun () ->
+      let port = Serve.Http.port server in
+      let ok label = function
+        | Ok (200, _) -> ()
+        | _ -> Alcotest.failf "%s failed" label
+      in
+      ok "ingest" (Serve.Http.post ~port "/ingest" "A,1,a\nB,5,b\n");
+      ok "scrape" (Serve.Http.get ~port "/metrics");
+      ok "/debug/slow" (Serve.Http.get ~port "/debug/slow"));
+  ignore
+    (Explain.Pipeline.explain q (Events.Tuple.of_list [ ("A", 0); ("B", 50) ]));
+  Alcotest.(check (list string))
+    "no name registered on the request path" before (registry_names ())
+
+let registry_suite =
+  ( "registry",
+    [
+      Alcotest.test_case "no registration on the request path" `Quick
+        test_no_request_path_registration;
+    ] )
 
 let suite =
   ( "obs",

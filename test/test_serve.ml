@@ -266,6 +266,126 @@ let test_http_rejects_malformed () =
       check_bool "malformed request answered with 400" true
         (String.starts_with ~prefix:"HTTP/1.1 400" raw))
 
+(* Raw-socket helpers: send [parts] with a short pause between them, then
+   read to EOF. *)
+let send_raw ~port parts =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close s)
+    (fun () ->
+      Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      List.iteri
+        (fun i part ->
+          if i > 0 then Unix.sleepf 0.05;
+          ignore (Unix.write_substring s part 0 (String.length part)))
+        parts;
+      let out = Buffer.create 1024 and chunk = Bytes.create 4096 in
+      let rec drain () =
+        let n = Unix.read s chunk 0 (Bytes.length chunk) in
+        if n > 0 then begin
+          Buffer.add_subbytes out chunk 0 n;
+          drain ()
+        end
+      in
+      drain ();
+      Buffer.contents out)
+
+(* The (status, body) responses in [raw], in order, framed by their
+   Content-Length. *)
+let rec split_responses raw =
+  if String.equal raw "" then []
+  else
+    let i =
+      let rec find i =
+        if String.equal (String.sub raw i 4) "\r\n\r\n" then i else find (i + 1)
+      in
+      find 0
+    in
+    let lines = String.split_on_char '\n' (String.sub raw 0 i) in
+    let status = int_of_string (List.nth (String.split_on_char ' ' (List.hd lines)) 1) in
+    let len =
+      List.find_map
+        (fun l ->
+          match String.split_on_char ':' (String.trim l) with
+          | [ k; v ] when String.equal (String.lowercase_ascii k) "content-length" ->
+              Some (int_of_string (String.trim v))
+          | _ -> None)
+        lines
+      |> Option.get
+    in
+    (status, String.sub raw (i + 4) len)
+    :: split_responses
+         (String.sub raw (i + 4 + len) (String.length raw - i - 4 - len))
+
+(* Content-Length is 1*DIGIT (RFC 9110 section 8.6): the other spellings
+   [int_of_string] takes answer 400, as does a value past [max_int]; a
+   response carrying one is an error to [Http.Client]. *)
+let test_content_length_digits_only () =
+  let s = Service.create (queries "SEQ(A, B) WITHIN 20") in
+  with_server ~io_timeout:1.0 (Service.handle s) (fun port ->
+      let status_of cl =
+        let raw =
+          send_raw ~port
+            [
+              Printf.sprintf
+                "POST /ingest HTTP/1.1\r\nHost: l\r\nContent-Length: %s\r\n\
+                 Connection: close\r\n\r\nA,1,x\nB,5" cl;
+            ]
+        in
+        match split_responses raw with
+        | [ (status, _) ] -> status
+        | _ -> Alcotest.failf "Content-Length %s: no single response" cl
+      in
+      check_int "decimal length accepted" 200 (status_of "9");
+      List.iter
+        (fun cl -> check_int ("Content-Length " ^ cl) 400 (status_of cl))
+        [ "0x9"; "0b1001"; "0o11"; "+9"; "1_0"; "0u9"; "99999999999999999999" ]);
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 1;
+  let port =
+    match Unix.getsockname listener with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let server =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept listener in
+        ignore (Unix.read fd (Bytes.create 4096) 0 4096);
+        let resp = "HTTP/1.1 200 OK\r\nContent-Length: 0x2\r\n\r\nok" in
+        ignore (Unix.write_substring fd resp 0 (String.length resp));
+        Unix.close fd)
+  in
+  let c = Http.Client.connect ~port in
+  let r = Http.Client.get c "/" in
+  Http.Client.close c;
+  Domain.join server;
+  Unix.close listener;
+  check_bool "client rejects a hex Content-Length" true (Result.is_error r)
+
+(* A head whose blank line is split across two reads, and a second
+   request pipelined behind the first one's body: both are answered, in
+   order, on one connection. *)
+let test_split_head_and_pipelined_request () =
+  let s = Service.create (queries "SEQ(A, B) WITHIN 20") in
+  with_server (Service.handle s) (fun port ->
+      let body = "A,1,x\nB,5,y\n" in
+      let raw =
+        send_raw ~port
+          [
+            Printf.sprintf
+              "POST /ingest HTTP/1.1\r\nHost: l\r\nContent-Length: %d\r\n\
+               Connection: keep-alive\r\n\r"
+              (String.length body);
+            "\n" ^ body
+            ^ "GET /health HTTP/1.1\r\nHost: l\r\nConnection: close\r\n\r\n";
+          ]
+      in
+      match split_responses raw with
+      | [ (200, verdicts); (200, health) ] ->
+          check_bool "first answer is the ingest's match" true
+            (String.starts_with ~prefix:"{\"type\":\"match\"" verdicts);
+          check_str "second answer is /health" "ok\n" health
+      | rs -> Alcotest.failf "expected two 200 responses, got %d" (List.length rs))
+
 let test_http_idle_connection_times_out ~workers () =
   with_server ~io_timeout:0.2 ~workers
     (fun _ -> Http.response "ok")
@@ -774,6 +894,89 @@ let test_request_id_echo () =
             (String.length (id_of headers) > 0)
       | _ -> Alcotest.fail "expected 404")
 
+(* The span tree of one captured ingest request, as "parent>name" rows
+   ("-" for the root), sorted: shard workers interleave with the
+   accepting domain, so emission order is not pinned. The body routes a
+   line to every shard, so each shard's job shows up. *)
+let captured_ingest_tree ~workers ~shards =
+  Obs.Request.configure ~threshold_us:0 ~capacity:16 ();
+  Obs.Request.clear_retained ();
+  Fun.protect ~finally:Obs.Request.disable @@ fun () ->
+  let s =
+    Service.create ~shards ~threaded:(workers > 1 || shards > 1)
+      (queries "SEQ(A, B) WITHIN 20")
+  in
+  let key_on k =
+    let rec go i =
+      let key = Printf.sprintf "k%d" i in
+      if Shard.shard_of_key (Service.pool s) key = k then key else go (i + 1)
+    in
+    go 0
+  in
+  let body =
+    String.concat ""
+      (List.init shards (fun k ->
+           Printf.sprintf "A,%d,a,%s\nB,%d,b,%s\n" (10 * k) (key_on k)
+             ((10 * k) + 5) (key_on k)))
+  in
+  Fun.protect ~finally:(fun () -> Service.shutdown s) (fun () ->
+      with_server ~workers (Service.handle s) (fun port ->
+          match Http.post ~port "/ingest" body with
+          | Ok (200, _) -> ()
+          | Ok (st, b) -> Alcotest.failf "ingest HTTP %d: %s" st b
+          | Error e -> Alcotest.failf "ingest: %s" e));
+  match Obs.Request.retained () with
+  | [ info ] ->
+      let opens =
+        List.filter_map
+          (fun (e : Obs.Trace.event) ->
+            match e.kind with
+            | Obs.Trace.Span_open { name; parent } -> Some (e.span, name, parent)
+            | _ -> None)
+          info.r_events
+      in
+      let name_of id =
+        List.find_map
+          (fun (i, name, _) -> if i = id then Some name else None)
+          opens
+        |> Option.value ~default:"-"
+      in
+      List.sort String.compare
+        (List.map (fun (_, name, parent) -> name_of parent ^ ">" ^ name) opens)
+  | infos -> Alcotest.failf "expected one retained request, got %d" (List.length infos)
+
+let test_captured_span_tree () =
+  let check_tree label expected tree =
+    Alcotest.(check (list string)) label (List.sort String.compare expected) tree
+  in
+  check_tree "inline shard, one worker"
+    [
+      "-" ^ ">serve.request";
+      "serve.request>serve.request.read";
+      "serve.request>serve.request.service";
+      "serve.request.service>serve.ingest.parse";
+      "serve.request.service>serve.ingest.submit";
+      "serve.ingest.submit>serve.shard.service";
+      "serve.request.service>serve.ingest.reassemble";
+      "serve.request>serve.request.write";
+    ]
+    (captured_ingest_tree ~workers:1 ~shards:1);
+  check_tree "two threaded shards, two workers"
+    [
+      "-" ^ ">serve.request";
+      "serve.request>serve.request.read";
+      "serve.request>serve.request.service";
+      "serve.request.service>serve.ingest.parse";
+      "serve.request.service>serve.ingest.submit";
+      "serve.ingest.submit>serve.shard.queue_wait";
+      "serve.ingest.submit>serve.shard.queue_wait";
+      "serve.ingest.submit>serve.shard.service";
+      "serve.ingest.submit>serve.shard.service";
+      "serve.request.service>serve.ingest.reassemble";
+      "serve.request>serve.request.write";
+    ]
+    (captured_ingest_tree ~workers:2 ~shards:2)
+
 (* A pooled keep-alive soak with capture on retains complete span trees
    — unique ids, exactly one read span, at least one shard-service span,
    one write span, and no orphaned opens after a clean stop. *)
@@ -1124,4 +1327,10 @@ let suite =
       Alcotest.test_case "access log decomposition" `Quick test_access_log;
       Alcotest.test_case "/debug/gc and slow-capture controls" `Quick
         test_debug_gc_and_slow_controls;
+      Alcotest.test_case "captured ingest span tree pinned" `Quick
+        test_captured_span_tree;
+      Alcotest.test_case "Content-Length is decimal digits only" `Quick
+        test_content_length_digits_only;
+      Alcotest.test_case "split head and a pipelined request" `Quick
+        test_split_head_and_pipelined_request;
     ] )

@@ -133,21 +133,21 @@ let test_metrics_doc () =
   (* spans map to a _seconds summary, not the bare mangled name *)
   check_int "span needs its _seconds series" 1
     (missing ~docs:"| `fixture.span` | `whynot_fixture_span` |"
-       "let f g = Obs.with_span \"fixture.span\" g");
+       "let s = Obs.span \"fixture.span\"");
   check_int "span with _seconds clean" 0
     (missing ~docs:"| `fixture.span` | `whynot_fixture_span_seconds` |"
-       "let f g = Obs.with_span \"fixture.span\" g");
-  (* ~hist_buckets derives a .duration_us histogram that must be documented
+       "let s = Obs.span \"fixture.span\"");
+  (* ~buckets derives a .duration_us histogram that must be documented
      (raw and exposition names, hence two diags when absent) *)
-  check_int "hist_buckets span also requires the derived histogram" 2
+  check_int "span ~buckets also requires the derived histogram" 2
     (missing ~docs:"| `fixture.span` | `whynot_fixture_span_seconds` |"
-       "let f b g = Obs.with_span ~hist_buckets:b \"fixture.span\" g");
+       "let s b = Obs.span ~buckets:b \"fixture.span\"");
   check_int "derived histogram documented clean" 0
     (missing
        ~docs:
          "| `fixture.span` | `whynot_fixture_span_seconds` |\n\
           | `fixture.span.duration_us` | `whynot_fixture_span_duration_us` |"
-       "let f b g = Obs.with_span ~hist_buckets:b \"fixture.span\" g");
+       "let s b = Obs.span ~buckets:b \"fixture.span\"");
   (* Log/Trace names are internal-only: raw name suffices *)
   check_int "log event raw name clean" 0
     (missing ~docs:"| `fixture.event` | info |"

@@ -11,6 +11,13 @@ let with_tracer ?capacity ?sample f =
   T.configure ?capacity ?sample ();
   Fun.protect ~finally:T.disable f
 
+(* Timed spans under [test.] names, which the docs lint exempts. *)
+let child = Obs.span "test.child"
+let grand = Obs.span "test.grand"
+let sibling = Obs.span "test.sibling"
+let inner = Obs.span "test.inner"
+let worker_s = Obs.span "test.worker"
+
 let spans_of events =
   List.filter_map
     (fun (e : T.event) ->
@@ -22,13 +29,13 @@ let spans_of events =
 let test_span_tree () =
   with_tracer @@ fun () ->
   T.with_trace "root" (fun () ->
-      T.with_span "child" (fun () -> T.with_span "grand" (fun () -> ()));
-      T.with_span "sibling" (fun () -> ()));
+      Obs.time child (fun () -> Obs.time grand (fun () -> ()));
+      Obs.time sibling (fun () -> ()));
   let events = T.events () in
   check_int "drop-free" 0 (T.dropped ());
   (match spans_of events with
-  | [ (root, "root", 0, 1); (c, "child", pc, 1); (g, "grand", pg, 1);
-      (_, "sibling", ps, 1) ] ->
+  | [ (root, "root", 0, 1); (c, "test.child", pc, 1); (g, "test.grand", pg, 1);
+      (_, "test.sibling", ps, 1) ] ->
       check_int "child's parent is root" root pc;
       check_int "grandchild's parent is child" c pg;
       check_int "sibling's parent is root" root ps;
@@ -50,7 +57,7 @@ let test_exception_safety () =
   check_bool "exception propagates" true
     (try
        T.with_trace "boom" (fun () ->
-           T.with_span "inner" (fun () -> raise Exit))
+           Obs.time inner (fun () -> raise Exit))
      with Exit -> true);
   let events = T.events () in
   let closes =
@@ -60,7 +67,7 @@ let test_exception_safety () =
       events
   in
   Alcotest.(check (list string))
-    "both spans closed despite the raise" [ "inner"; "boom" ] closes;
+    "both spans closed despite the raise" [ "test.inner"; "boom" ] closes;
   (* The domain context was restored: the next trace is top-level again. *)
   T.with_trace "after" (fun () -> ());
   let trace_ids =
@@ -140,7 +147,7 @@ let test_cross_domain_context () =
       let d =
         Domain.spawn (fun () ->
             T.with_context ctx (fun () ->
-                T.with_span "worker" (fun () ->
+                Obs.time worker_s (fun () ->
                     T.emit (T.Mark { label = "from-worker" }))))
       in
       Domain.join d);
@@ -206,6 +213,21 @@ let test_jsonl_deterministic () =
   check_bool "timings included by default" true
     (let timed = Report.Trace_json.jsonl (T.events ()) in
      String.length timed > String.length b)
+
+(* The Table-1 explain as `whynot explain` runs it (a consistency check,
+   then the pipeline), pinned: the event count and the digest of its
+   timings-stripped JSONL. Any change to which spans open, in what order
+   and under which parent shows up here. *)
+let test_table1_trace_pinned () =
+  with_tracer @@ fun () ->
+  ignore (Explain.Consistency.check [ p0 ]);
+  ignore
+    (Explain.Pipeline.explain ~strategy:Explain.Modification.Full [ p0 ] t2);
+  let events = T.events () in
+  check_int "Table-1 explain event count" 207 (List.length events);
+  check_str "Table-1 explain JSONL digest" "ebc0904c587c9054391d06e0c1abd453"
+    (Digest.to_hex
+       (Digest.string (Report.Trace_json.jsonl ~timings:false events)))
 
 let test_chrome_export_valid () =
   with_tracer @@ fun () ->
@@ -347,4 +369,6 @@ let suite =
       Alcotest.test_case "chrome export valid" `Quick test_chrome_export_valid;
       Alcotest.test_case "folded export" `Quick test_folded_export;
       Alcotest.test_case "bench compare gate" `Quick test_compare_gate;
+      Alcotest.test_case "Table-1 explain trace pinned" `Quick
+        test_table1_trace_pinned;
     ] )

@@ -8,7 +8,7 @@ module Json = Whynot.Report.Json
 type metric_site = {
   m_name : string;
   m_kind : string;
-      (* registrar name ("counter", "with_span", ...) or "trace"/"log"/
+      (* registrar name ("counter", "span", ...) or "trace"/"log"/
          "catalog" for names with no exposition-format series *)
   m_file : string;
   m_loc : Location.t;
@@ -115,7 +115,7 @@ let required_doc_names m =
   let mangled = Whynot.Report.Prom_text.mangle m.m_name in
   match m.m_kind with
   | "counter" | "gauge" | "histogram" -> [ m.m_name; mangled ]
-  | "span" | "with_span" ->
+  | "span" ->
       [ m.m_name; mangled ^ Whynot.Report.Prom_text.span_suffix ]
   | _ -> [ m.m_name ]
 

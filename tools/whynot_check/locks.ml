@@ -63,7 +63,7 @@ let summary_equal a b =
 type func = {
   fn_file : string;
   fn_base : string;  (** file basename without extension, e.g. "http" *)
-  fn_qual : string;  (** submodule-qualified name, e.g. "Trace.with_span" *)
+  fn_qual : string;  (** submodule-qualified name, e.g. "Trace.with_capture" *)
   fn_display : string;  (** path segment shown in findings, e.g. "http.stop" *)
   fn_expr : expression;
 }

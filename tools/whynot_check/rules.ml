@@ -11,7 +11,7 @@ type ctx = {
   add : rule:string -> Location.t -> string -> unit;
   add_metric : kind:string -> string -> Location.t -> unit;
       (** metric/trace/log-name registration sites, aggregated by the
-          engine; [kind] is the registrar ("counter", "with_span", ...) or
+          engine; [kind] is the registrar ("counter", "span", ...) or
           "trace"/"log"/"catalog" for names with no exposition form, and
           decides which derived exposition names the docs must carry *)
 }
@@ -388,26 +388,20 @@ let metric_registrars =
     "gauge";
     "histogram";
     "span";
-    "with_span";
-    "observe_span";
     "with_trace";
     "with_capture";
-    "span_interval";
     "emit";
   ]
 
 (* [Obs.Trace.*] names trace events / spans and [Obs.Log.emit] names log
    events — neither has an exposition-format series, so they collapse to
-   the raw-only kinds "trace"/"log". [Obs.observe_span] records into the
-   same span metric (and optional [.duration_us] histogram) as
-   [Obs.with_span], so it shares that kind. Everything else keeps its
+   the raw-only kinds "trace"/"log". Everything else keeps its
    registrar name; the engine derives the exposition names the docs must
    also carry (see [Engine.required_doc_names]). *)
 let metric_kind path fn =
   if List.mem "Trace" path then "trace"
   else if List.mem "Log" path then "log"
   else if String.equal fn "with_trace" then "trace"
-  else if String.equal fn "observe_span" then "with_span"
   else fn
 
 let metrics_doc ctx structure =
@@ -427,15 +421,15 @@ let metrics_doc ctx structure =
                   let fn = Option.value ~default:"" (last path) in
                   let kind = metric_kind path fn in
                   let latency_histogram =
-                    (* [Obs.with_span ~hist_buckets] registers a derived
-                       [<name>.duration_us] histogram at call time; its
-                       names must be documented like any other histogram. *)
-                    String.equal kind "with_span"
+                    (* [Obs.span ~buckets] also registers a derived
+                       [<name>.duration_us] histogram; its names must be
+                       documented like any other histogram. *)
+                    String.equal kind "span"
                     && List.exists
                          (fun (lbl, _) ->
                            match lbl with
-                           | Asttypes.Labelled "hist_buckets"
-                           | Asttypes.Optional "hist_buckets" ->
+                           | Asttypes.Labelled "buckets"
+                           | Asttypes.Optional "buckets" ->
                                true
                            | _ -> false)
                          args
