@@ -9,35 +9,45 @@ type t = {
   integral_relaxation : bool;
 }
 
-(* Variables u_i, v_i >= 0 with t'(Ei) = t(Ei) - u_i + v_i (Formula 4). *)
-type vars = { u : int; v : int }
+(* Variables u_i, v_i >= 0 with t'(Ei) = t(Ei) - u_i + v_i (Formula 4),
+   for the i-th event of the conditions in [Event.compare] order. They are
+   added in that order, u_i before v_i, and handles are dense from 0. *)
+let u i = 2 * i
+let v i = (2 * i) + 1
 
 let default_weight e = if Event.is_artificial e then 0 else 1
 
+(* The index of [e] in the sorted [events.(lo .. hi)]. *)
+let rec index events e lo hi =
+  if lo > hi then raise Not_found
+  else
+    let mid = (lo + hi) / 2 in
+    let c = Event.compare e events.(mid) in
+    if c = 0 then mid
+    else if c < 0 then index events e lo (mid - 1)
+    else index events e (mid + 1) hi
+
 let build ?(weights = default_weight) ?(bounds = fun _ -> None) ?cutoff tuple intervals =
-  let events = Event.Set.elements (Tcn.Condition.interval_events intervals) in
+  let events = Array.of_list (Event.Set.elements (Tcn.Condition.interval_events intervals)) in
+  let n = Array.length events in
+  let find e = index events e 0 (n - 1) in
+  let ts = Array.map (Tuple.find tuple) events in
   let model = Simplex.create () in
-  let vars =
-    List.fold_left
-      (fun acc e ->
-        let u = Simplex.add_var model in
-        let v = Simplex.add_var model in
-        Event.Map.add e { u; v } acc)
-      Event.Map.empty events
-  in
+  for _ = 1 to 2 * n do
+    ignore (Simplex.add_var model)
+  done;
   (* Only real events pay for moving (Formula 1 sums over E in the schema;
      artificial events are artifacts of the encoding), each at its weight. *)
-  let objective =
-    List.concat_map
-      (fun e ->
-        let w = if Event.is_artificial e then 0 else weights e in
-        if w < 0 then invalid_arg "Lp_repair: negative weight";
-        if w = 0 then []
-        else
-          let { u; v } = Event.Map.find e vars in
-          [ (Rat.of_int w, u); (Rat.of_int w, v) ])
-      events
-  in
+  let objective = ref [] in
+  for i = n - 1 downto 0 do
+    let e = events.(i) in
+    let w = if Event.is_artificial e then 0 else weights e in
+    if w < 0 then invalid_arg "Lp_repair: negative weight";
+    if w <> 0 then
+      let w = Rat.of_int w in
+      objective := (w, u i) :: (w, v i) :: !objective
+  done;
+  let objective = !objective in
   Simplex.set_objective model objective;
   (* Incumbent cutoff (branch-and-bound): only repairs strictly cheaper
      than [cutoff] are of interest, and costs are integral, so a budget
@@ -48,17 +58,12 @@ let build ?(weights = default_weight) ?(bounds = fun _ -> None) ?cutoff tuple in
   | None -> ());
   List.iter
     (fun { Tcn.Condition.src; dst; lo; hi } ->
-      let vs = Event.Map.find src vars and vd = Event.Map.find dst vars in
-      let base = Tuple.find tuple dst - Tuple.find tuple src in
+      let s = find src and d = find dst in
+      let base = ts.(d) - ts.(s) in
       (* t'(dst) - t'(src) = base - u_d + v_d + u_s - v_s, constrained to
          [lo, hi]. *)
       let terms =
-        [
-          (Rat.minus_one, vd.u);
-          (Rat.one, vd.v);
-          (Rat.one, vs.u);
-          (Rat.minus_one, vs.v);
-        ]
+        [ (Rat.minus_one, u d); (Rat.one, v d); (Rat.one, u s); (Rat.minus_one, v s) ]
       in
       Simplex.add_constraint model terms Simplex.Ge (Rat.of_int (lo - base));
       match hi with
@@ -69,30 +74,27 @@ let build ?(weights = default_weight) ?(bounds = fun _ -> None) ?cutoff tuple in
      and each event respects its plausibility bound |t - t'| <= r when one
      is given (u_i + v_i >= |t - t'| always, and the optimum never pads, so
      bounding the sum bounds the move without cutting feasible targets). *)
-  List.iter
-    (fun e ->
-      let { u; v } = Event.Map.find e vars in
+  Array.iteri
+    (fun i e ->
       Simplex.add_constraint model
-        [ (Rat.minus_one, u); (Rat.one, v) ]
+        [ (Rat.minus_one, u i); (Rat.one, v i) ]
         Simplex.Ge
-        (Rat.of_int (-Tuple.find tuple e));
+        (Rat.of_int (-ts.(i)));
       if not (Event.is_artificial e) then
         match bounds e with
         | Some r ->
             if r < 0 then invalid_arg "Lp_repair: negative bound";
-            Simplex.add_constraint model
-              [ (Rat.one, u); (Rat.one, v) ]
-              Simplex.Le (Rat.of_int r)
+            Simplex.add_constraint model [ (Rat.one, u i); (Rat.one, v i) ] Simplex.Le (Rat.of_int r)
         | None -> ())
     events;
-  (model, vars, events)
+  (model, events)
 
-let repaired_tuple tuple vars read =
-  Event.Map.fold
-    (fun e { u; v } acc ->
-      let t' = Tuple.find tuple e - read u + read v in
-      Tuple.add e t' acc)
-    vars Tuple.empty
+let repaired_tuple tuple events read =
+  let repaired = ref Tuple.empty in
+  Array.iteri
+    (fun i e -> repaired := Tuple.add e (Tuple.find tuple e - read (u i) + read (v i)) !repaired)
+    events;
+  !repaired
 
 let cost_of ?(weights = default_weight) tuple repaired =
   Tuple.fold
@@ -107,7 +109,7 @@ let cost_of ?(weights = default_weight) tuple repaired =
 let repair ?weights ?bounds ?cutoff tuple intervals =
   if (match cutoff with Some c -> c <= 0 | None -> false) then None
   else
-  let model, vars, _events = build ?weights ?bounds ?cutoff tuple intervals in
+  let model, events = build ?weights ?bounds ?cutoff tuple intervals in
   match Simplex.solve model with
   | Simplex.Infeasible -> None
   | Simplex.Unbounded ->
@@ -116,14 +118,14 @@ let repair ?weights ?bounds ?cutoff tuple intervals =
   | Simplex.Optimal { values; _ } ->
       let integral = Array.for_all Rat.is_integer values in
       if integral then
-        let repaired = repaired_tuple tuple vars (fun i -> Rat.to_int_exn values.(i)) in
+        let repaired = repaired_tuple tuple events (fun i -> Rat.to_int_exn values.(i)) in
         Some { repaired; cost = cost_of ?weights tuple repaired; integral_relaxation = true }
       else begin
         (* Never observed (difference systems are totally unimodular), but
            kept so the exactness claim does not rest on that observation. *)
         match Lp.Ilp.solve model with
         | Lp.Ilp.Optimal { values; _ } ->
-            let repaired = repaired_tuple tuple vars (fun i -> values.(i)) in
+            let repaired = repaired_tuple tuple events (fun i -> values.(i)) in
             Some { repaired; cost = cost_of ?weights tuple repaired; integral_relaxation = false }
         | Lp.Ilp.Infeasible | Lp.Ilp.Unbounded -> assert false
       end

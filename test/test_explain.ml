@@ -391,6 +391,65 @@ let test_simplex_pin_sample () =
   check_deltas names [ 5533; 490 ] got;
   Alcotest.(check string) "outcome digest" "0c618caf7e67d5fc1a67b5fd7aa69916" digest
 
+(* Weighted, bounded and cutoff repairs on a seeded RTFM and Flight
+   sample: the first bindings of each request's network, each repaired
+   plainly, with per-event weights, with plausibility bounds, and under
+   incumbent cutoffs above, at and below its optimum. The cutoff rows are
+   where the repair tableaux take fractions. The expected values were
+   recorded on the tableau of boxed rationals. *)
+let test_simplex_pin_repairs () =
+  let prng = Numeric.Prng.create 29 in
+  let rtfm =
+    Datagen.Rtfm.generate prng ~tuples:40
+    |> Datagen.Faults.trace prng ~rate:0.5 ~distance:2000
+  in
+  let f4 = Datagen.Flight.generate prng ~num_events:4 ~days:8 in
+  let f6 = Datagen.Flight.generate prng ~num_events:6 ~days:2 in
+  let requests =
+    List.concat_map
+      (fun (ps, tr) -> List.map (fun (_, t) -> (ps, t)) (Events.Trace.bindings tr))
+      [ (Datagen.Rtfm.patterns, rtfm); ([ f4.pattern ], f4.observed);
+        ([ f6.pattern ], f6.observed) ]
+  in
+  let weights e = 1 + (Char.code e.[String.length e - 1] mod 3) in
+  let bounds e = Some (40 + (20 * (Char.code e.[0] mod 4))) in
+  let show = function
+    | None -> "none"
+    | Some { Explain.Lp_repair.repaired; cost; integral_relaxation } ->
+        Format.asprintf "%d %b %a" cost integral_relaxation Tuple.pp repaired
+  in
+  let names = [ "simplex.pivots"; "simplex.solves" ] in
+  let digest, got =
+    counter_deltas names (fun () ->
+        let buf = Buffer.create 65536 in
+        let line r = Buffer.add_string buf (show r ^ "\n") in
+        List.iter
+          (fun (ps, t) ->
+            let net = Tcn.Encode.pattern_set ps in
+            let t = Tcn.Encode.extend net t in
+            Seq.iter
+              (fun phi ->
+                let phis = phi @ net.set_intervals in
+                let repair = Explain.Lp_repair.repair in
+                let plain = repair t phis in
+                line plain;
+                line (repair ~weights t phis);
+                line (repair ~bounds t phis);
+                match plain with
+                | Some { cost; _ } ->
+                    List.iter
+                      (fun cutoff ->
+                        line (repair ~cutoff t phis);
+                        line (repair ~weights ~cutoff t phis))
+                      [ cost + 1; cost; (cost / 2) + 1 ]
+                | None -> ())
+              (Seq.take 3 (Tcn.Bindings.full net.set_bindings)))
+          requests;
+        Digest.to_hex (Digest.string (Buffer.contents buf)))
+  in
+  check_deltas names [ 8950; 1068 ] got;
+  Alcotest.(check string) "repair digest" "eaacd75d96dcb6e60ab085999c89dfb1" digest
+
 let suite =
   ( "explain",
     [
@@ -436,4 +495,6 @@ let suite =
       Alcotest.test_case "simplex pivot pin: Table 1" `Quick test_simplex_pin_table1;
       Alcotest.test_case "simplex pivot pin: RTFM + Flight sample" `Quick
         test_simplex_pin_sample;
+      Alcotest.test_case "simplex pin: weighted, bounded and cutoff repairs" `Quick
+        test_simplex_pin_repairs;
     ] )

@@ -95,37 +95,65 @@ let test_simplex_copy_isolated () =
   Alcotest.check rat "copy constrained" (r (-3)) o2
 
 (* Random feasible-by-construction LPs: simplex must find an optimum no
-   worse than the known feasible point, and the optimum must be feasible. *)
-let random_lp_gen : (Simplex.model * Rat.t) QCheck.Gen.t =
+   worse than the known feasible point, and the optimum must be feasible.
+   The generator returns the model with its rows (terms, sense, rhs) and
+   its costs, so the optimum can be checked against them. *)
+type random_lp = {
+  model : Simplex.model;
+  rows : ((Rat.t * Simplex.var) list * Simplex.sense * Rat.t) list;
+  costs : (Rat.t * Simplex.var) list;
+  feasible_cost : Rat.t;
+}
+
+let random_lp_gen : random_lp QCheck.Gen.t =
  fun st ->
   let n = 2 + Random.State.int st 4 in
-  let m = Simplex.create () in
-  let vars = List.init n (fun _ -> Simplex.add_var m) in
+  let model = Simplex.create () in
+  let vars = List.init n (fun _ -> Simplex.add_var model) in
   let point = List.map (fun _ -> Random.State.int st 10) vars in
-  let rows = 1 + Random.State.int st 5 in
-  for _ = 1 to rows do
-    let coeffs = List.map (fun _ -> Random.State.int st 7 - 3) vars in
-    let value =
-      List.fold_left2 (fun acc c x -> acc + (c * x)) 0 coeffs point
-    in
-    let slack = Random.State.int st 5 in
-    let terms = List.map2 (fun c v -> (r c, v)) coeffs vars in
-    if Random.State.bool st then
-      Simplex.add_constraint m terms Simplex.Le (r (value + slack))
-    else Simplex.add_constraint m terms Simplex.Ge (r (value - slack))
-  done;
+  let rows =
+    List.init (1 + Random.State.int st 5) (fun _ ->
+        let coeffs = List.map (fun _ -> Random.State.int st 7 - 3) vars in
+        let value =
+          List.fold_left2 (fun acc c x -> acc + (c * x)) 0 coeffs point
+        in
+        let slack = Random.State.int st 5 in
+        let terms = List.map2 (fun c v -> (r c, v)) coeffs vars in
+        let sense, rhs =
+          if Random.State.bool st then (Simplex.Le, r (value + slack))
+          else (Simplex.Ge, r (value - slack))
+        in
+        Simplex.add_constraint model terms sense rhs;
+        (terms, sense, rhs))
+  in
   let costs = List.map (fun _ -> Random.State.int st 5) vars in
-  Simplex.set_objective m (List.map2 (fun c v -> (r c, v)) costs vars);
   let feasible_cost =
     List.fold_left2 (fun acc c x -> acc + (c * x)) 0 costs point
   in
-  (m, r feasible_cost)
+  let costs = List.map2 (fun c v -> (r c, v)) costs vars in
+  Simplex.set_objective model costs;
+  { model; rows; costs; feasible_cost = r feasible_cost }
+
+(* [sum terms] at [values], in exact rationals. *)
+let dot terms values =
+  List.fold_left (fun acc (c, v) -> Rat.add acc (Rat.mul c values.(v))) Rat.zero terms
 
 let prop_simplex_sound =
   QCheck.Test.make ~name:"simplex: optimal <= known feasible point" ~count:200
-    (QCheck.make random_lp_gen) (fun (m, feasible_cost) ->
-      match Simplex.solve m with
-      | Simplex.Optimal { objective; _ } -> Rat.compare objective feasible_cost <= 0
+    (QCheck.make random_lp_gen) (fun lp ->
+      match Simplex.solve lp.model with
+      | Simplex.Optimal { objective; values } ->
+          Rat.compare objective lp.feasible_cost <= 0
+          && Array.for_all (fun x -> Rat.sign x >= 0) values
+          && List.for_all
+               (fun (terms, sense, rhs) ->
+                 let c = Rat.compare (dot terms values) rhs in
+                 match sense with
+                 | Simplex.Le -> c <= 0
+                 | Simplex.Ge -> c >= 0
+                 | Simplex.Eq -> c = 0)
+               lp.rows
+          && Rat.equal objective (dot lp.costs values)
       | Simplex.Infeasible -> false (* feasible by construction *)
       | Simplex.Unbounded -> true (* nonneg costs make this rare but legal *))
 
@@ -214,6 +242,110 @@ let test_mcf_validation () =
   Alcotest.check_raises "negative cap" (Invalid_argument "Mcf.add_edge: negative capacity")
     (fun () -> ignore (Mcf.add_edge g ~src:0 ~dst:1 ~cap:(-1) ~cost:0))
 
+(* --- Pinned fractional and overflow behaviour ---
+
+   Bland's rule over exact rationals makes every solve deterministic, so
+   the outcomes and [simplex.*] counter deltas of a fixed set of LPs pin
+   the arithmetic as well as the pivots. The LPs below have rational
+   coefficients, [Eq] rows and negative right-hand sides, so their
+   tableaux hold fractions, and their few large coefficients make some
+   solves raise [Checked.Overflow]. The expected values were recorded on
+   the tableau of boxed rationals. *)
+
+module Prng = Numeric.Prng
+module Checked = Numeric.Checked
+
+let simplex_counters =
+  [ "simplex.solves"; "simplex.pivots"; "simplex.phase1_iters"; "simplex.phase2_iters";
+    "simplex.degenerate_pivots"; "simplex.infeasible" ]
+
+(* [f ()] as a line: its outcome (or the exception it raised), then the
+   counter deltas it caused. *)
+let pinned_line f =
+  let read () =
+    List.map (fun n -> Option.value ~default:0 (Obs.find_counter n)) simplex_counters
+  in
+  let before = read () in
+  let outcome =
+    try f () with
+    | Checked.Overflow -> "overflow"
+    | Failure msg -> msg
+  in
+  let deltas = List.map2 ( - ) (read ()) before in
+  String.concat " " (outcome :: List.map string_of_int deltas)
+
+let simplex_line m = pinned_line (fun () -> Format.asprintf "%a" Simplex.pp_outcome (Simplex.solve m))
+
+let random_rational_lp g =
+  let m = Simplex.create () in
+  let vars = List.init (2 + Prng.int g 4) (fun _ -> Simplex.add_var m) in
+  let coeff () =
+    match Prng.int g 20 with
+    | 0 -> Rat.make (Prng.int_in g (-(1 lsl 40)) (1 lsl 40)) (1 + Prng.int g 7)
+    | k when k < 6 -> Rat.zero
+    | _ -> Rat.make (Prng.int_in g (-9) 9) (1 + Prng.int g 4)
+  in
+  for _ = 1 to 1 + Prng.int g 5 do
+    let terms = List.map (fun v -> (coeff (), v)) vars in
+    let sense = Prng.choose g [| Simplex.Le; Simplex.Ge; Simplex.Eq |] in
+    Simplex.add_constraint m terms sense (Rat.make (Prng.int_in g (-20) 20) (1 + Prng.int g 3))
+  done;
+  Simplex.set_objective m
+    (List.map (fun v -> (Rat.make (Prng.int_in g (-3) 9) (1 + Prng.int g 2), v)) vars);
+  m
+
+(* The ILP budget is small because a branching that never reaches an
+   integer point grows its model by one row per level: at 200 nodes such
+   a run re-solves ~100-row tableaux for ~10k pivots. *)
+let test_simplex_pin_fractional () =
+  let g = Prng.create 16 in
+  let overflows = ref 0 and fractional = ref 0 in
+  let buf = Buffer.create 65536 in
+  for _ = 1 to 1000 do
+    let m = random_rational_lp g in
+    let relaxation =
+      pinned_line (fun () ->
+          let o = Simplex.solve m in
+          (match o with
+          | Simplex.Optimal { values; _ } when not (Array.for_all Rat.is_integer values) ->
+              incr fractional
+          | _ -> ());
+          Format.asprintf "%a" Simplex.pp_outcome o)
+    in
+    if String.starts_with ~prefix:"overflow" relaxation then incr overflows;
+    let ilp =
+      pinned_line (fun () ->
+          match Ilp.solve ~max_nodes:40 m with
+          | Ilp.Optimal { objective; values } ->
+              Format.asprintf "optimal %a at %s" Rat.pp objective
+                (String.concat "," (Array.to_list (Array.map string_of_int values)))
+          | Ilp.Infeasible -> "infeasible"
+          | Ilp.Unbounded -> "unbounded")
+    in
+    Buffer.add_string buf (relaxation ^ " | " ^ ilp ^ "\n")
+  done;
+  check_int "simplex overflows" 97 !overflows;
+  check_int "fractional optima" 211 !fractional;
+  Alcotest.(check string) "outcome digest" "880a329ad8353eaf515f5abf0bc66f0e"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* x*K + y >= 1, x + y*K >= 1, minimise x + y: the optimum 2/(K+1) at
+   x = y = 1/(K+1) fits for K = 2^20; the second pivot's products
+   overflow for K = 2^30, and the first pivot's for K = 2^31. *)
+let test_simplex_pin_overflow () =
+  let line k =
+    let m = Simplex.create () in
+    let x = Simplex.add_var m and y = Simplex.add_var m in
+    Simplex.add_constraint m [ (r k, x); (r 1, y) ] Simplex.Ge (r 1);
+    Simplex.add_constraint m [ (r 1, x); (r k, y) ] Simplex.Ge (r 1);
+    Simplex.set_objective m [ (r 1, x); (r 1, y) ];
+    simplex_line m
+  in
+  let check k expected = Alcotest.(check string) (Printf.sprintf "K = %d" k) expected (line k) in
+  check (1 lsl 20) "optimal 2/1048577 at [1/1048577, 1/1048577] 1 2 3 1 0 0";
+  check (1 lsl 30) "overflow 1 2 2 0 0 0";
+  check (1 lsl 31) "overflow 1 1 1 0 0 0"
+
 let qt = Gen.qt
 
 let suite =
@@ -236,4 +368,7 @@ let suite =
       Alcotest.test_case "mcf picks cheapest cycle" `Quick test_mcf_parallel_cycles;
       Alcotest.test_case "mcf residual distances" `Quick test_mcf_residual_distances;
       Alcotest.test_case "mcf validation" `Quick test_mcf_validation;
+      Alcotest.test_case "simplex pin: rational LPs and their ILPs" `Quick
+        test_simplex_pin_fractional;
+      Alcotest.test_case "simplex pin: overflow points" `Quick test_simplex_pin_overflow;
     ] )

@@ -154,6 +154,46 @@ let test_rat_fast_path_overflow () =
   Alcotest.check rat "x / 1 = x" (Rat.of_int max_int) (Rat.div (Rat.of_int max_int) Rat.one);
   Alcotest.check rat "3/4 / 1" (Rat.make 3 4) (Rat.div (Rat.make 3 4) Rat.one)
 
+(* Rationals at the int limits, beside the integer-heavy ones: numerators
+   a few steps from [max_int], [-max_int] and [min_int] over small
+   denominators. *)
+let extreme_gen : Rat.t QCheck.Gen.t =
+ fun st ->
+  if Random.State.bool st then int_heavy_gen st
+  else
+    let k = Random.State.int st 4 in
+    let num =
+      match Random.State.int st 3 with
+      | 0 -> max_int - k
+      | 1 -> k - max_int
+      | _ -> min_int + k
+    in
+    Rat.make num (1 + Random.State.int st 4)
+
+let test_rat_floor_ceil_limits () =
+  let half = (max_int / 2) + 1 in
+  check_int "ceil (max_int / 2)" half (Rat.ceil (Rat.make max_int 2));
+  check_int "floor (max_int / 2)" (half - 1) (Rat.floor (Rat.make max_int 2));
+  check_int "floor (-max_int / 2)" (-half) (Rat.floor (Rat.make (-max_int) 2));
+  check_int "ceil (-max_int / 2)" (1 - half) (Rat.ceil (Rat.make (-max_int) 2));
+  check_int "floor min_int" min_int (Rat.floor (Rat.make min_int 1));
+  check_int "ceil min_int" min_int (Rat.ceil (Rat.make min_int 1));
+  let third = max_int / 3 in
+  check_int "floor ((max_int - 2) / 3)" (third - 1) (Rat.floor (Rat.make (max_int - 2) 3));
+  check_int "ceil ((max_int - 2) / 3)" third (Rat.ceil (Rat.make (max_int - 2) 3))
+
+let prop_floor_ceil_limits =
+  QCheck.Test.make ~name:"rat floor/ceil bracket at the int limits" ~count:2000
+    (QCheck.make ~print:Rat.to_string extreme_gen) (fun a ->
+      let f = Rat.floor a and c = Rat.ceil a in
+      if Rat.is_integer a then f = Rat.num a && c = Rat.num a
+      else
+        (* [a] and the bounds shifted by the truncation [q], so that the
+           cross-products of [Rat.compare] stay far from the limits. *)
+        let q = Rat.num a / Rat.den a in
+        let cmp k = Rat.compare (Rat.sub a (Rat.of_int q)) (Rat.of_int (k - q)) in
+        cmp f >= 0 && cmp (f + 1) < 0 && cmp (c - 1) > 0 && cmp c <= 0)
+
 (* --- Prng --- *)
 
 let test_prng_deterministic () =
@@ -216,4 +256,6 @@ let suite =
       Alcotest.test_case "prng shuffle" `Quick test_prng_shuffle_permutes;
       qt prop_int_fast_paths;
       Alcotest.test_case "rat fast paths overflow" `Quick test_rat_fast_path_overflow;
+      Alcotest.test_case "rat floor/ceil at the int limits" `Quick test_rat_floor_ceil_limits;
+      qt prop_floor_ceil_limits;
     ] )

@@ -88,7 +88,10 @@ let default =
         "bin/whynot_cli.ml";
       ];
     checked_arith_paths =
-      [ "lib/tcn"; "lib/lp"; "lib/cep/plan.ml"; "lib/cep/compile.ml" ];
+      [
+        "lib/tcn"; "lib/lp"; "lib/cep/plan.ml"; "lib/cep/compile.ml";
+        "lib/numeric/rat.ml";
+      ];
     checked_arith_max_literal = 64;
     no_stdout_deny = [ "lib" ];
     no_stdout_allow = [ "lib/report" ];
