@@ -121,12 +121,12 @@ let run ~events ~scrapes =
 
    Each section replays a keyed stream twice through [soak] and compares
    the two replays. serve_mt toggles the topology: the sequential
-   baseline (one HTTP worker over one inline shard, one client) against
-   the pooled stack (one worker and one threaded shard per core, 2 to 8,
-   with one keep-alive client domain per worker). serve_trace and
-   serve_gc replay the pooled stack with tail capture, or runtime-events
-   profiling, off (the deployment default) and then on. Each section's
-   checks probe its second replay's server while it is still up.
+   baseline (one HTTP worker over one shard, one client) against the
+   pooled stack (one worker and one shard per core, 2 to 8, with one
+   keep-alive client domain per worker). serve_trace and serve_gc replay
+   the pooled stack with tail capture, or runtime-events profiling, off
+   (the deployment default) and then on. Each section's checks probe its
+   second replay's server while it is still up.
 
    serve_mt times every POST client-side and gates the merged p99; its
    >=3x throughput gate, like the overhead gates of the other two, is a
@@ -179,14 +179,12 @@ let mt_feed ~port ~client ~events =
   !lats
 
 (* One replay: the service behind [workers] HTTP workers over as many
-   shards (threaded above one, as in `whynot serve`), one keep-alive
-   client domain per worker feeding [per_client] lines, then [check port]
-   while the server is still up. Returns the check's result, every
-   POST's latency and the feed's wall time. *)
+   shards, one keep-alive client domain per worker feeding [per_client]
+   lines, then [check port] while the server is still up. Returns the
+   check's result, every POST's latency and the feed's wall time. *)
 let soak ~check ~workers ~per_client =
   let service =
-    Serve.Service.create ~max_partials:512 ~shards:workers
-      ~threaded:(workers > 1) (mt_query ())
+    Serve.Service.create ~max_partials:512 ~shards:workers (mt_query ())
   in
   let server = Serve.Http.listen ~port:0 () in
   let port = Serve.Http.port server in
@@ -204,7 +202,6 @@ let soak ~check ~workers ~per_client =
   let checked = check port in
   Serve.Http.stop server;
   Domain.join http;
-  Serve.Service.shutdown service;
   (checked, latencies, dt)
 
 (* The pooled stack every section replays: [(cores, workers,

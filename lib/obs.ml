@@ -94,6 +94,7 @@ let add c n = ignore (Atomic.fetch_and_add c n)
 let value c = Atomic.get c
 
 let gauge_set g v = Atomic.set g v
+let gauge_add g d = Atomic.fetch_and_add g d
 
 let rec atomic_max cell v =
   let cur = Atomic.get cell in
@@ -532,9 +533,6 @@ module Trace = struct
       x_span = c.c_span;
       x_buf = c.c_buf;
     }
-
-  let context_active x =
-    x.x_active || (match x.x_buf with Some _ -> true | None -> false)
 
   let with_context x f =
     at_position

@@ -31,6 +31,7 @@ let reason_of = function
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
   | 408 -> "Request Timeout"
+  | 411 -> "Length Required"
   | 413 -> "Content Too Large"
   | 429 -> "Too Many Requests"
   | 503 -> "Service Unavailable"
@@ -167,9 +168,10 @@ type received =
    previous request on a kept-alive connection (a pipelining client's
    next request must not be dropped), and is left holding any overrun on
    return. Failures carry the status to answer with (400 for malformed
-   input, 408 for a read timeout, 413 for oversized bodies). A timeout
-   relies on the caller having set SO_RCVTIMEO on [fd]; without it reads
-   block indefinitely. *)
+   input or a repeated Content-Length, 408 for a read timeout, 411 for a
+   body framed by Transfer-Encoding, which this server does not decode,
+   413 for oversized bodies). A timeout relies on the caller having set
+   SO_RCVTIMEO on [fd]; without it reads block indefinitely. *)
 let recv_request fd pending =
   let chunk = Bytes.create 4096 in
   let buf = Buffer.create 1024 in
@@ -207,13 +209,26 @@ let recv_request fd pending =
         match parse_head (Buffer.sub buf 0 (body_start - 4)) with
         | Error msg -> Fail (400, msg)
         | Ok (meth, path, headers) -> (
+            (* Only Content-Length frames a body here. Reading a chunked
+               body as empty, or trusting one of two lengths (RFC 9112
+               section 6.3), would answer 200 for events never fed. *)
             let content_length =
-              match header_value headers "content-length" with
-              | None -> Ok 0
-              | Some v -> (
-                  match content_length_of v with
-                  | Some n -> Ok n
-                  | None -> Error (400, "bad content-length"))
+              if List.exists
+                   (fun (n, _) -> String.equal n "transfer-encoding")
+                   headers
+              then Error (411, "transfer-encoding not supported")
+              else
+                match
+                  List.filter
+                    (fun (n, _) -> String.equal n "content-length")
+                    headers
+                with
+                | [] -> Ok 0
+                | [ (_, v) ] -> (
+                    match content_length_of v with
+                    | Some n -> Ok n
+                    | None -> Error (400, "bad content-length"))
+                | _ -> Error (400, "repeated content-length")
             in
             match content_length with
             | Error (status, msg) -> Fail (status, msg)

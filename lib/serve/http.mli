@@ -71,9 +71,12 @@ val serve :
     worker the handler runs concurrently and must be thread-safe.
 
     Malformed or oversized requests are answered with 400/413 without
-    reaching the handler; a connection idle for more than [io_timeout]
-    seconds (default 10, [0.] disables) is answered 408 so one silent
-    client cannot wedge a worker; client I/O errors are swallowed. A
+    reaching the handler, and the connection is closed. Only
+    [Content-Length] frames a body: a request carrying
+    [Transfer-Encoding] is answered 411, and one with more than one
+    [Content-Length] field 400. A connection idle for more than
+    [io_timeout] seconds (default 10, [0.] disables) is answered 408 so
+    one silent client cannot wedge a worker; client I/O errors are swallowed. A
     request carrying [Connection: keep-alive] keeps its connection open
     for up to [keepalive_limit] requests (default
     {!default_keepalive_limit}), each turn under the same [io_timeout];

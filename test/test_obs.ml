@@ -485,8 +485,7 @@ let test_no_request_path_registration () =
   Fun.protect
     ~finally:(fun () ->
       Serve.Http.stop server;
-      Domain.join d;
-      Serve.Service.shutdown service)
+      Domain.join d)
     (fun () ->
       let port = Serve.Http.port server in
       let ok label = function
