@@ -27,9 +27,9 @@
    A lock *class* is "<file basename>.<last identifier of the mutex
    expression>" (e.g. [shard.sm], [http.cm]): the analysis is untyped, so
    distinct instances of one class are identified. Classes listed in
-   [lock_multi_acquire] may batch-acquire several instances at once (the
-   ascending-order shard admission); everything else acquiring its own
-   class twice is a self-deadlock finding.
+   [lock_multi_acquire] may batch-acquire several instances at once (e.g.
+   in ascending index order); everything else acquiring its own class
+   twice is a self-deadlock finding.
 
    Known over-approximations (see docs/STATIC_ANALYSIS.md): lambda
    arguments are walked inline at the call site; a raise caught by an
