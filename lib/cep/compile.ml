@@ -33,8 +33,7 @@ let plan ?(max_matrices = max_matrices) ?(on_fallback = fun () -> ())
   in
   let target_of_event e =
     {
-      Plan.tgt_event = e;
-      tgt_index = Event.Map.find e index_of;
+      Plan.tgt_index = Event.Map.find e index_of;
       tgt_prereq =
         (match Event.alias_info e with
         | Some (_, _, 1) | None -> -1
@@ -53,20 +52,24 @@ let plan ?(max_matrices = max_matrices) ?(on_fallback = fun () -> ())
         Event.Set.add ty acc)
       required Event.Set.empty
   in
+  (* Instance types are numbered in set order. Every one has a target
+     (itself, or its REPEAT aliases), so every number has a transition. *)
+  let type_list = Event.Set.elements instance_types in
+  let types =
+    List.to_seq type_list
+    |> Seq.mapi (fun i ty -> (ty, i))
+    |> Event.Map.of_seq
+  in
   let transitions =
-    Event.Set.fold
-      (fun ty acc ->
-        match List.map target_of_event (targets_of required ty) with
-        | [] -> acc
-        | targets ->
-            Event.Map.add ty
-              {
-                Plan.tr_targets = targets;
-                tr_fresh =
-                  List.filter (fun t -> t.Plan.tgt_prereq < 0) targets;
-              }
-              acc)
-      instance_types Event.Map.empty
+    Array.of_list
+      (List.map
+         (fun ty ->
+           let targets = List.map target_of_event (targets_of required ty) in
+           {
+             Plan.tr_targets = targets;
+             tr_fresh = List.filter (fun t -> t.Plan.tgt_prereq < 0) targets;
+           })
+         type_list)
   in
   let use_fallback =
     (not (Tcn.Bindings.count_is_exact net.set_bindings))
@@ -107,11 +110,4 @@ let plan ?(max_matrices = max_matrices) ?(on_fallback = fun () -> ())
       (Array.of_list (List.rev !mats), None)
     end
   in
-  {
-    Plan.events;
-    index_of;
-    required_count = Array.length events;
-    transitions;
-    matrices;
-    fallback;
-  }
+  { Plan.events; types; transitions; matrices; fallback }

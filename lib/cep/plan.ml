@@ -4,7 +4,6 @@ module Weight = Tcn.Weight
 module Checked = Numeric.Checked
 
 type target = {
-  tgt_event : Event.t;
   tgt_index : int;
   tgt_prereq : int;
 }
@@ -16,14 +15,42 @@ type transition = {
 
 type t = {
   events : Event.t array;
-  index_of : int Event.Map.t;
-  required_count : int;
-  transitions : transition Event.Map.t;
+  types : int Event.Map.t;
+  transitions : transition array;
   matrices : int array array array;
   fallback : (Tuple.t -> bool) option;
 }
 
 let matrix_count t = Array.length t.matrices
+
+(* --- assignments --- *)
+
+(* A set of event indices, one bit each. Bytes rather than an [int], so
+   any number of pattern events fits: REPEAT(E, k) has no bound on k.
+   A set is never mutated once a partial holds it. *)
+let has bits i =
+  Char.code (Bytes.get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let with_bit bits i =
+  let b = Bytes.copy bits in
+  let k = i lsr 3 in
+  Bytes.set b k (Char.chr (Char.code (Bytes.get b k) lor (1 lsl (i land 7))));
+  b
+
+(* The assigned (event index, timestamp, tag) triples, newest first. *)
+type cells =
+  | Nil
+  | Cell of { idx : int; ts : Events.Time.t; tag : string; next : cells }
+
+(* The assignment as a tuple, its events added oldest first: the same
+   insertion order (and so the same map) the naive engine builds. *)
+let rec to_tuple events = function
+  | Nil -> Tuple.empty
+  | Cell c -> Tuple.add events.(c.idx) c.ts (to_tuple events c.next)
+
+let rec to_tags events = function
+  | Nil -> []
+  | Cell c -> (events.(c.idx), c.tag) :: to_tags events c.next
 
 (* --- partials --- *)
 
@@ -33,9 +60,8 @@ let matrix_count t = Array.length t.matrices
    [dead] is the only mutable bit: eviction tombstones a partial in place
    and every index skips tombstones until the next compaction. *)
 type partial = {
-  assigned : Tuple.t;
-  idx_ts : (int * Events.Time.t) list;  (* (event index, timestamp) *)
-  p_tags : (Event.t * string) list;  (* newest first *)
+  bits : Bytes.t;  (* the event indices in [cells] *)
+  cells : cells;
   earliest : Events.Time.t;
   n_assigned : int;
   viable : int;  (* bitmask over [matrices]; unused in fallback mode *)
@@ -48,7 +74,8 @@ type store = {
   horizon : int;
   max_partials : int;
   full_mask : int;
-  buckets : partial list ref Event.Map.t;
+  no_bits : Bytes.t;  (* the empty assignment *)
+  buckets : partial list array;
       (* per instance type, the partials that can still accept it,
          newest first *)
   by_earliest : (Events.Time.t * partial list ref) Queue.t;
@@ -70,7 +97,8 @@ let create_store ~horizon ~max_partials plan =
       (match plan.fallback with
       | Some _ -> 0
       | None -> (1 lsl Array.length plan.matrices) - 1);
-    buckets = Event.Map.map (fun _ -> ref []) plan.transitions;
+    no_bits = Bytes.make ((Array.length plan.events + 7) / 8) '\000';
+    buckets = Array.make (Array.length plan.transitions) [];
     by_earliest = Queue.create ();
     by_insertion = Queue.create ();
     last_bucket = None;
@@ -93,35 +121,36 @@ type outcome = {
 let diff a b = Weight.clamp (Weight.sat_add a (Weight.neg b))
 
 (* Would assigning [events.(j) := ts] fit matrix [m] given the already
-   assigned (index, timestamp) pairs? By decomposability, pairwise bounds
-   against the assigned events are exact. *)
-let fits m idx_ts j ts =
-  List.for_all
-    (fun (i, ti) ->
-      let d = diff ts ti in
-      d <= m.(i).(j) && Weight.neg d <= m.(j).(i))
-    idx_ts
+   assigned cells? By decomposability, pairwise bounds against the
+   assigned events are exact. *)
+let rec fits m cells j ts =
+  match cells with
+  | Nil -> true
+  | Cell c ->
+      let d = diff ts c.ts in
+      d <= m.(c.idx).(j) && Weight.neg d <= m.(j).(c.idx) && fits m c.next j ts
 
 (* Matrices from [mask] that also admit the new assignment. *)
-let refine_mask plan mask idx_ts j ts =
+let refine_mask plan mask cells j ts =
   let out = ref 0 in
-  Array.iteri
-    (fun k m ->
-      if mask land (1 lsl k) <> 0 && fits m idx_ts j ts then
-        out := !out lor (1 lsl k))
-    plan.matrices;
+  for k = 0 to Array.length plan.matrices - 1 do
+    if mask land (1 lsl k) <> 0 && fits plan.matrices.(k) cells j ts then
+      out := !out lor (1 lsl k)
+  done;
   !out
 
+(* Can [tgt] be filled next: its event unassigned, its prerequisite
+   assigned? *)
+let ready bits tgt =
+  (not (has bits tgt.tgt_index))
+  && (tgt.tgt_prereq < 0 || has bits tgt.tgt_prereq)
+
 (* Which instance types can extend this assignment: type [ty] is accepted
-   iff some target of [ty] is unassigned with its prerequisite met. Fixed
-   for the partial's lifetime (the assignment is immutable). *)
-let accepts plan assigned tr =
-  List.exists
-    (fun tgt ->
-      (not (Tuple.mem tgt.tgt_event assigned))
-      && (tgt.tgt_prereq < 0
-         || Tuple.mem plan.events.(tgt.tgt_prereq) assigned))
-    tr.tr_targets
+   iff some target of [ty] is ready. Fixed for the partial's lifetime (the
+   assignment is immutable). *)
+let rec accepts bits = function
+  | [] -> false
+  | tgt :: rest -> ready bits tgt || accepts bits rest
 
 let tombstone s p =
   p.dead <- true;
@@ -136,8 +165,8 @@ let compact s =
   Queue.iter (fun p -> if not p.dead then Queue.push p alive) s.by_insertion;
   Queue.clear s.by_insertion;
   Queue.transfer alive s.by_insertion;
-  Event.Map.iter
-    (fun _ b -> b := List.filter (fun p -> not p.dead) !b)
+  Array.iteri
+    (fun ty b -> s.buckets.(ty) <- List.filter (fun p -> not p.dead) b)
     s.buckets;
   let kept = Queue.create () in
   Queue.iter
@@ -174,66 +203,100 @@ let earliest_bucket s ts =
 let insert s p =
   Queue.push p s.by_insertion;
   p.e_bucket := p :: !(p.e_bucket);
-  Event.Map.iter
-    (fun ty b ->
-      let tr = Event.Map.find ty s.plan.transitions in
-      if accepts s.plan p.assigned tr then b := p :: !b)
-    s.buckets
+  let trs = s.plan.transitions in
+  for ty = 0 to Array.length trs - 1 do
+    if accepts p.bits trs.(ty).tr_targets then
+      s.buckets.(ty) <- p :: s.buckets.(ty)
+  done
+
+(* Horizon eviction pops whole expired buckets: every partial in a bucket
+   shares its [earliest], so the work is O(evicted), not O(live). Returns
+   the number of partials evicted. *)
+let rec evict_horizon s timestamp n =
+  match Queue.peek_opt s.by_earliest with
+  | Some (e0, bucket)
+  (* mirrors the naive `timestamp - earliest <= horizon` cut, without the
+     wrap *)
+    when Weight.sat_add timestamp (Weight.neg e0) > s.horizon ->
+      ignore (Queue.pop s.by_earliest);
+      let n =
+        List.fold_left
+          (fun n p ->
+            if p.dead then n
+            else begin
+              tombstone s p;
+              n + 1
+            end)
+          n !bucket
+      in
+      bucket := [];
+      evict_horizon s timestamp n
+  | _ -> n
+
+(* The fresh singletons of one feed, inserted oldest first: the naive
+   engine's [fresh] list is in trial order, newest first. Like the naive
+   engine, they skip the feasibility check (a single event always fits
+   some binding matrix). Returns how many were inserted. *)
+let rec insert_fresh s ~timestamp ~tag = function
+  | [] -> 0
+  | tgt :: rest ->
+      let n = insert_fresh s ~timestamp ~tag rest in
+      insert s
+        {
+          bits = with_bit s.no_bits tgt.tgt_index;
+          cells = Cell { idx = tgt.tgt_index; ts = timestamp; tag; next = Nil };
+          earliest = timestamp;
+          n_assigned = 1;
+          viable = s.full_mask;
+          e_bucket = earliest_bucket s timestamp;
+          dead = false;
+        };
+      n + 1
 
 let step s ~event ~timestamp ~tag =
-  (* Horizon eviction pops whole expired buckets: every partial in a
-     bucket shares its [earliest], so the work is O(evicted), not
-     O(live). Runs on every feed, irrelevant instance types included. *)
-  let horizon_evicted = ref 0 in
-  let expired e0 =
-    (* mirrors the naive `timestamp - earliest <= horizon` cut, without
-       the wrap *)
-    Weight.sat_add timestamp (Weight.neg e0) > s.horizon
-  in
-  let rec evict_horizon () =
-    match Queue.peek_opt s.by_earliest with
-    | Some (e0, bucket) when expired e0 ->
-        ignore (Queue.pop s.by_earliest);
-        List.iter
-          (fun p ->
-            if not p.dead then begin
-              tombstone s p;
-              incr horizon_evicted
-            end)
-          !bucket;
-        bucket := [];
-        evict_horizon ()
-    | _ -> ()
-  in
-  evict_horizon ();
-  match Event.Map.find_opt event s.plan.transitions with
+  (* runs on every feed, irrelevant instance types included *)
+  let horizon_evicted = evict_horizon s timestamp 0 in
+  match Event.Map.find_opt event s.plan.types with
   | None ->
       maybe_compact s;
       {
         out_matches = [];
-        out_horizon_evicted = !horizon_evicted;
+        out_horizon_evicted = horizon_evicted;
         out_capacity_evicted = 0;
         out_irrelevant = true;
       }
-  | Some tr ->
+  | Some ty ->
       let plan = s.plan in
-      (* Snapshot the bucket before inserting this feed's partials: only
-         pre-existing partials are extension candidates, and the list is
-         newest-first — the order the naive engine scans its buffer. *)
-      let candidates = !(Event.Map.find event s.buckets) in
+      let tr = plan.transitions.(ty) in
+      let complete = Array.length plan.events in
+      (* Extensions in reverse generation order: a completed assignment
+         goes to [rev_done] as its cells, any other to [rev_keep] as a
+         partial. *)
+      let rev_keep = ref [] and rev_done = ref [] in
       let extend p tgt =
-        if
-          Tuple.mem tgt.tgt_event p.assigned
-          || (tgt.tgt_prereq >= 0
-             && not (Tuple.mem plan.events.(tgt.tgt_prereq) p.assigned))
-        then None
-        else
-          let make viable =
-            Some
+        if ready p.bits tgt then begin
+          let cells =
+            Cell { idx = tgt.tgt_index; ts = timestamp; tag; next = p.cells }
+          in
+          (* the matrices the extension fits, -1 when it fits none *)
+          let viable =
+            match plan.fallback with
+            | Some check ->
+                if check (to_tuple plan.events cells) then 0 else -1
+            | None ->
+                let v =
+                  refine_mask plan p.viable p.cells tgt.tgt_index timestamp
+                in
+                if v = 0 then -1 else v
+          in
+          if viable < 0 then ()
+          else if p.n_assigned + 1 = complete then
+            rev_done := cells :: !rev_done
+          else
+            rev_keep :=
               {
-                assigned = Tuple.add tgt.tgt_event timestamp p.assigned;
-                idx_ts = (tgt.tgt_index, timestamp) :: p.idx_ts;
-                p_tags = (tgt.tgt_event, tag) :: p.p_tags;
+                bits = with_bit p.bits tgt.tgt_index;
+                cells;
                 (* the clock never runs backwards, so the parent's
                    earliest is inherited (and with it its bucket) *)
                 earliest = p.earliest;
@@ -242,60 +305,27 @@ let step s ~event ~timestamp ~tag =
                 e_bucket = p.e_bucket;
                 dead = false;
               }
-          in
-          match plan.fallback with
-          | Some check ->
-              if check (Tuple.add tgt.tgt_event timestamp p.assigned) then
-                make 0
-              else None
-          | None ->
-              let viable =
-                refine_mask plan p.viable p.idx_ts tgt.tgt_index timestamp
-              in
-              if viable = 0 then None else make viable
+              :: !rev_keep
+        end
       in
-      let extensions = ref [] in
+      let rec try_targets p = function
+        | [] -> ()
+        | tgt :: rest ->
+            extend p tgt;
+            try_targets p rest
+      in
+      (* The bucket as it stood before this feed: only pre-existing
+         partials are extension candidates, and the list is newest-first —
+         the order the naive engine scans its buffer. *)
       List.iter
-        (fun p ->
-          if not p.dead then
-            List.iter
-              (fun tgt ->
-                match extend p tgt with
-                | Some ext -> extensions := ext :: !extensions
-                | None -> ())
-              tr.tr_targets)
-        candidates;
-      let extensions = List.rev !extensions (* generation order *) in
-      let matches, keep =
-        List.partition (fun p -> p.n_assigned = plan.required_count) extensions
-      in
-      let fresh =
-        (* like the naive engine, fresh singletons skip the feasibility
-           check (a single event always fits some binding matrix) *)
-        List.filter_map
-          (fun tgt ->
-            if tgt.tgt_prereq >= 0 then None
-            else
-              Some
-                {
-                  assigned = Tuple.add tgt.tgt_event timestamp Tuple.empty;
-                  idx_ts = [ (tgt.tgt_index, timestamp) ];
-                  p_tags = [ (tgt.tgt_event, tag) ];
-                  earliest = timestamp;
-                  n_assigned = 1;
-                  viable = s.full_mask;
-                  e_bucket = earliest_bucket s timestamp;
-                  dead = false;
-                })
-          tr.tr_fresh
-      in
+        (fun p -> if not p.dead then try_targets p tr.tr_targets)
+        s.buckets.(ty);
       (* naive buffer order is [keep @ fresh @ alive]; insert oldest
-         first, so: fresh (reversed), then keep (reversed) *)
-      List.iter (insert s) (List.rev fresh);
-      List.iter (insert s) (List.rev keep);
+         first, so: fresh, then keep *)
+      let fresh = insert_fresh s ~timestamp ~tag tr.tr_fresh in
+      List.iter (insert s) !rev_keep;
       s.live_count <-
-        Checked.add s.live_count
-          (Checked.add (List.length fresh) (List.length keep));
+        Checked.add s.live_count (Checked.add fresh (List.length !rev_keep));
       let capacity_evicted = ref 0 in
       while s.live_count > s.max_partials do
         (* oldest live partial first; popped tombstones cost nothing *)
@@ -308,8 +338,10 @@ let step s ~event ~timestamp ~tag =
       maybe_compact s;
       {
         out_matches =
-          List.map (fun p -> (p.assigned, p.p_tags)) matches;
-        out_horizon_evicted = !horizon_evicted;
+          List.rev_map
+            (fun c -> (to_tuple plan.events c, to_tags plan.events c))
+            !rev_done;
+        out_horizon_evicted = horizon_evicted;
         out_capacity_evicted = !capacity_evicted;
         out_irrelevant = false;
       }

@@ -18,12 +18,19 @@
       matrix — exactly the predicate the naive engine evaluates with
       [Consistency.check_network ~pinned], for at most
       [O(assigned * matrices)] integer comparisons;
-    - an {e indexed partial store}: partials bucketed by the instance
-      types they can still accept (so extension candidates are found
-      without scanning the whole buffer), a queue of same-[earliest]
-      buckets for O(evicted) horizon eviction, and an insertion-order
-      queue for O(evicted) capacity eviction. Evicted partials are
-      tombstoned and compacted away amortized O(1).
+    - a {e dense partial store}: the pattern events and instance types
+      are numbered once at compile time, so the store works on integers
+      alone. A partial holds a bitset of its assigned event indices
+      beside its newest-first (index, timestamp, tag) cells; whether a
+      target is free and its REPEAT prerequisite met is two bit tests.
+      Partials are bucketed in an array indexed by the instance types
+      they can still accept (so extension candidates are found without
+      scanning the whole buffer), a queue of same-[earliest] buckets
+      gives O(evicted) horizon eviction, and an insertion-order queue
+      O(evicted) capacity eviction. Evicted partials are tombstoned and
+      compacted away amortized O(1). An assignment becomes an
+      {!Events.Tuple.t} only when it completes (for the caller's
+      confirmation) or for a {!field-fallback} check.
 
     The store replays the naive engine {e bit-identically}: matches,
     match order, tags, live partial counts and both eviction counters are
@@ -32,8 +39,9 @@
     operations, mirroring how bounds enter an STN. *)
 
 type target = {
-  tgt_event : Events.Event.t;  (** pattern event or REPEAT alias to fill *)
-  tgt_index : int;  (** index of [tgt_event] in {!field-events} *)
+  tgt_index : int;
+      (** the pattern event or REPEAT alias to fill, as its index in
+          {!field-events} *)
   tgt_prereq : int;
       (** index of the alias with the preceding REPEAT index, which must
           already be assigned ([alias_ready]); [-1] when always ready *)
@@ -49,11 +57,14 @@ type transition = {
 }
 
 type t = {
-  events : Events.Event.t array;  (** real pattern events, sorted *)
-  index_of : int Events.Event.Map.t;  (** event -> index in [events] *)
-  required_count : int;
-  transitions : transition Events.Event.Map.t;
-      (** instance type -> transition; absent types are irrelevant *)
+  events : Events.Event.t array;
+      (** real pattern events and REPEAT aliases, sorted; a partial's
+          assignment is a set of indices into this array, complete when it
+          holds all of them *)
+  types : int Events.Event.Map.t;
+      (** instance type -> its index in [transitions] (and in the store's
+          bucket array); absent types are irrelevant *)
+  transitions : transition array;  (** per instance type index *)
   matrices : int array array array;
       (** per consistent binding, deduplicated: [(k).(i).(j)] is the
           tightest upper bound on [t(events.(j)) - t(events.(i))], with

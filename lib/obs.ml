@@ -1245,9 +1245,9 @@ module Request = struct
         | Service -> sc.sc_service_ns <- ns
         | Write -> sc.sc_write_ns <- ns)
 
-  (* Shard visibility: [Service.ingest_body] notes the shard index each
-     batch line was routed to. Single-writer — only the accepting domain
-     (the scope owner) calls this. *)
+  (* Shard visibility: [Shard.submit] notes each shard a batch routes
+     to. Single-writer — only the domain running the turn (the scope
+     owner) calls this. *)
   let note_shard k =
     match Domain.DLS.get scope_key with
     | None -> ()
@@ -1425,13 +1425,13 @@ let finish s ~g0 ~id ~parent ~t0 ~t1 =
   if Atomic.get generation = g0 then aggregate s ns;
   match s.sp_stage with None -> () | Some st -> Request.set_stage st ns
 
-let start s ~t0 =
-  if Trace.should_emit () then Trace.open_span s.sp_name ~ts_ns:t0 else (0, 0)
-
 let time s f =
   let g0 = Atomic.get generation in
   let t0 = now_ns () in
-  let id, parent = start s ~t0 in
+  let id, parent =
+    if Trace.should_emit () then Trace.open_span s.sp_name ~ts_ns:t0
+    else (0, 0)
+  in
   match f () with
   | v ->
       finish s ~g0 ~id ~parent ~t0 ~t1:(now_ns ());
@@ -1440,10 +1440,6 @@ let time s f =
       let bt = Printexc.get_raw_backtrace () in
       finish s ~g0 ~id ~parent ~t0 ~t1:(now_ns ());
       Printexc.raise_with_backtrace e bt
-
-let elapsed s ~t0_ns ~t1_ns =
-  let id, parent = start s ~t0:t0_ns in
-  finish s ~g0:(Atomic.get generation) ~id ~parent ~t0:t0_ns ~t1:t1_ns
 
 (* --- runtime / GC gauges ------------------------------------------------ *)
 

@@ -92,13 +92,6 @@ val time : span -> (unit -> 'a) -> 'a
     - the calling domain's {!Request} scope, for the stage spans
       {!Request.read}, {!Request.service} and {!Request.write}. *)
 
-val elapsed : span -> t0_ns:int -> t1_ns:int -> unit
-(** [elapsed s ~t0_ns ~t1_ns] records an interval that has already
-    passed exactly as {!time} would have recorded it. Nothing in lib, bin
-    or bench calls it: its one caller, the shard job queue's wait span,
-    is gone with the shard domains. Only the "obs span semantics" test
-    still exercises it; ROADMAP lists deleting both together. *)
-
 val now_ns : unit -> int
 (** The one clock behind spans, trace events and request stages:
     wall-clock nanoseconds, so intervals line up with {!Rt_events}
@@ -556,10 +549,10 @@ module Request : sig
   val set_keep_alive : scope -> bool -> unit
 
   val note_shard : int -> unit
-  (** Record that a line of the current request's batch was routed to
-      this shard (deduplicated; no-op outside a scope). Called by the
-      ingest path as it keys each batch line, from the domain running
-      the turn. *)
+  (** Record that the current request's batch routes to this shard
+      (deduplicated; no-op outside a scope). Called by the shard pool
+      once per involved shard before admission, so a shed batch reports
+      its shards too, from the domain running the turn. *)
 
   val read : span
   val service : span

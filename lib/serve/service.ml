@@ -115,9 +115,6 @@ let ingest_body t body =
             parse_error ~lineno:e.line e.reason;
             slots.(i) <- `Bad e.reason
         | Ok (Some { Ingest.instance; key }) ->
-            (* shard visibility: the access log and /debug/slow carry
-               the shard index every batch line routes to *)
-            Obs.Request.note_shard (Shard.shard_of_key t.pool key);
             slots.(i) <- `Inst !batched;
             incr batched;
             batch := (key, instance) :: !batch

@@ -172,6 +172,9 @@ let submit t batch =
     let involved =
       List.filter (fun s -> hit.(s.index)) (Array.to_list t.shards)
     in
+    (* shard visibility: the access log and /debug/slow carry the shards
+       a batch routes to, a shed one's too *)
+    List.iter (fun s -> Obs.Request.note_shard s.index) involved;
     (* All-or-nothing admission: count the batch on every involved shard
        first, then check. If any already held [capacity] batches, the
        batch sheds having applied nothing, so the client may retry it

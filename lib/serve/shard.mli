@@ -70,8 +70,11 @@ val create :
 
 val submit : t -> (string * Cep.Detector.instance) array -> outcome
 (** Process one batch of [(key, instance)] pairs on the calling domain:
-    admit it all-or-nothing, then for each involved shard in ascending
-    index order hold its mutex while its events are fed in input order.
+    route every key once, note each involved shard on the current
+    request scope ({!Obs.Request.note_shard}, so a shed batch reports
+    its shards too), admit the batch all-or-nothing, then for each
+    involved shard in ascending index order hold its mutex while its
+    events are fed in input order.
     Every lock and admission count is given back, also when feeding
     raises; events fed before the raise stay applied. Per-event [Error]
     (e.g. a decreasing timestamp within a key's stream) does not abort

@@ -320,15 +320,7 @@ let test_span_semantics () =
   check_bool "exception propagates" true
     (try ignore (Obs.time s (fun () -> raise Exit)); false
      with Exit -> true);
-  check_int "raising span still counted" 2 (span_count "test.span" (Obs.snapshot ()));
-  (* an interval that already passed lands in the same cells *)
-  let before = List.assoc "test.span" (Obs.snapshot ()).spans in
-  Obs.elapsed s ~t0_ns:1_000 ~t1_ns:7_000_000_000;
-  let after = List.assoc "test.span" (Obs.snapshot ()).spans in
-  check_int "elapsed counted" 3 after.Obs.s_count;
-  check_int "elapsed adds its duration" (before.Obs.total_ns + 6_999_999_000)
-    after.Obs.total_ns;
-  check_int "elapsed raises the max" 6_999_999_000 after.Obs.max_ns
+  check_int "raising span still counted" 2 (span_count "test.span" (Obs.snapshot ()))
 
 let json_no_timers () =
   (* Latency histograms (".duration_us") record wall-clock like spans do,

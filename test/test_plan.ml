@@ -251,6 +251,62 @@ let test_large_capacity_engines_agree () =
   check_int "same horizon evictions" (Detector.evicted_horizon dn)
     (Detector.evicted_horizon dc)
 
+(* --- an assignment wider than one machine word ---
+
+   The fuzz above draws at most four pattern events. Sixty-six distinct
+   events need more bits than one machine word holds, so a bitset that
+   fit in one word would alias events 64 and up onto others. The
+   compiled store (with matrices, and forced onto the fallback) must
+   still replay the naive oracle exactly. The stream keeps the oracle cheap: one
+   in-order run (with a duplicate first event, so two chains compete)
+   that completes, then a gap past the horizon and a short second run. *)
+let test_wide_assignment () =
+  let n = 66 and horizon = 200 and max_partials = 6 in
+  let name k = Printf.sprintf "E%d" k in
+  let patterns =
+    [
+      p
+        (Printf.sprintf "SEQ(%s) WITHIN %d"
+           (String.concat ", " (List.init n (fun k -> name (k + 1))))
+           horizon);
+    ]
+  in
+  let stream =
+    (inst "X" 0 "x0" :: inst "E1" 1 "a1" :: inst "E1" 2 "b1"
+    :: List.init (n - 1) (fun k ->
+           inst (name (k + 2)) (k + 3) (Printf.sprintf "a%d" (k + 2))))
+    @ inst "X" 500 "x1"
+      :: List.init 8 (fun k ->
+             inst (name (k + 1)) (501 + k) (Printf.sprintf "c%d" (k + 1)))
+  in
+  let plan = Compile.plan patterns in
+  check_bool "assignment wider than a machine word" true
+    (Array.length plan.Plan.events > Sys.int_size);
+  let dn = Detector.create ~engine:Detector.Naive ~max_partials patterns in
+  let dc = Detector.create ~engine:Detector.Compiled ~max_partials patterns in
+  let naive = run_detector dn stream and compiled = run_detector dc stream in
+  check_bool "the in-order run completes" true
+    (List.exists (fun (ms, _) -> ms <> []) naive);
+  check_bool "capacity eviction exercised" true
+    (Detector.dropped_capacity dn > 0);
+  check_bool "horizon eviction exercised" true
+    (Detector.evicted_horizon dn > 0);
+  check_bool "compiled: same matches, tags and live counts" true
+    (naive = compiled);
+  check_int "compiled: same horizon evictions" (Detector.evicted_horizon dn)
+    (Detector.evicted_horizon dc);
+  check_int "compiled: same capacity evictions" (Detector.dropped_capacity dn)
+    (Detector.dropped_capacity dc);
+  let fallback, fb_horizon, fb_capacity =
+    run_fallback_plan patterns ~horizon ~max_partials stream
+  in
+  check_bool "fallback: same matches, tags and live counts" true
+    (naive = fallback);
+  check_int "fallback: same horizon evictions" (Detector.evicted_horizon dn)
+    fb_horizon;
+  check_int "fallback: same capacity evictions" (Detector.dropped_capacity dn)
+    fb_capacity
+
 let suite =
   ( "plan",
     [
@@ -262,4 +318,6 @@ let suite =
         test_large_capacity_compiled;
       Alcotest.test_case "engines agree under capacity pressure" `Quick
         test_large_capacity_engines_agree;
+      Alcotest.test_case "66 pattern events: engines agree" `Quick
+        test_wide_assignment;
     ] )

@@ -1447,6 +1447,81 @@ let test_raise_mid_batch () =
           (String.split_on_char '\n' r.Http.body)));
   check_admission_counts_zero ~shards:2 "after the next batch"
 
+(* The access log's [shards] field is the exact set of shards a batch
+   routes to, noted once per batch by [Shard.submit] before admission: a
+   two-shard batch reads "0,1" whether it is applied or shed at capacity
+   0, and a batch of parse errors only routes nowhere. *)
+let test_access_log_shards () =
+  let buf = Buffer.create 512 in
+  let old_level = Obs.Log.level () in
+  Obs.Log.set_sink (fun line ->
+      if contains ~needle:"\"event\":\"serve.access\"" line then
+        Buffer.add_string buf line);
+  let old_access = Obs.Request.access_level () in
+  Obs.Log.set_level (Some Obs.Log.Info);
+  Obs.Request.set_access_level (Some Obs.Log.Info);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Log.set_level old_level;
+      Obs.Request.set_access_level old_access;
+      Obs.Log.reset_sink ())
+    (fun () ->
+      let access_shards ~shard_queue body =
+        let s =
+          Service.create ~shards:2 ~shard_queue
+            (queries "SEQ(A, B) WITHIN 20")
+        in
+        Buffer.clear buf;
+        let status =
+          with_server (Service.handle s) (fun port ->
+              match Http.post ~port "/ingest" body with
+              | Ok (st, _) -> st
+              | Error e -> Alcotest.failf "ingest failed: %s" e)
+        in
+        let shards =
+          match
+            List.filter
+              (fun l -> not (String.equal l ""))
+              (String.split_on_char '\n' (Buffer.contents buf))
+          with
+          | [ line ] -> (
+              match Report.Json.of_string line with
+              | Ok (Report.Json.Obj fields) -> (
+                  match List.assoc_opt "shards" fields with
+                  | Some (Report.Json.String v) -> v
+                  | _ -> Alcotest.failf "no shards string in %s" line)
+              | _ -> Alcotest.failf "access line is not an object: %s" line)
+          | _ ->
+              Alcotest.failf "expected one access line, got %S"
+                (Buffer.contents buf)
+        in
+        (status, shards)
+      in
+      let probe = Service.create ~shards:2 (queries "SEQ(A, B) WITHIN 20") in
+      let key_on k =
+        let rec go i =
+          let key = Printf.sprintf "s%d" i in
+          if Shard.shard_of_key (Service.pool probe) key = k then key
+          else go (i + 1)
+        in
+        go 0
+      in
+      let two_shards =
+        Printf.sprintf "A,1,a,%s\nB,5,b,%s\nA,2,c,%s\n" (key_on 1) (key_on 1)
+          (key_on 0)
+      in
+      let status, shards = access_shards ~shard_queue:64 two_shards in
+      check_int "two-shard batch applied" 200 status;
+      Alcotest.(check string) "two-shard batch routes to 0,1" "0,1" shards;
+      let status, shards = access_shards ~shard_queue:0 two_shards in
+      check_int "capacity-0 batch sheds" 429 status;
+      Alcotest.(check string) "a shed batch still reports 0,1" "0,1" shards;
+      let status, shards =
+        access_shards ~shard_queue:64 "A,notatime\nB\n"
+      in
+      check_int "parse errors answer 200" 200 status;
+      Alcotest.(check string) "parse errors route nowhere" "" shards)
+
 (* One case at the default single worker under [name], one at three
    workers: the same accept loop must behave alike at either count. *)
 let at_workers name test =
@@ -1521,4 +1596,6 @@ let suite =
         (test_concurrent_submitters ~shards:4);
       Alcotest.test_case "a raise mid-batch releases locks and counts"
         `Quick test_raise_mid_batch;
+      Alcotest.test_case "access log pins the shards a batch routes to"
+        `Quick test_access_log_shards;
     ] )
