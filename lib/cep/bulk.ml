@@ -50,7 +50,11 @@ let explain_trace ?domains ?strategy ?engine ?solver ?max_cost patterns trace =
   (match Pattern.Ast.validate_set patterns with
   | Ok () -> ()
   | Error e -> invalid_arg (Format.asprintf "Bulk.explain_trace: %a" Pattern.Ast.pp_error e));
-  let net = Tcn.Encode.pattern_set patterns in
+  (* Prepared once and closed here, then shared read-only by the workers. *)
+  let prepared =
+    Explain.Modification.prepare_network (Tcn.Encode.pattern_set patterns)
+  in
+  Explain.Modification.close prepared;
   let within_budget cost =
     match max_cost with None -> true | Some budget -> cost <= budget
   in
@@ -62,7 +66,8 @@ let explain_trace ?domains ?strategy ?engine ?solver ?max_cost patterns trace =
     if Pattern.Matcher.matches_set tuple patterns then tuple
     else
       match
-        Explain.Modification.explain_network ?strategy ?engine ?solver net tuple
+        Explain.Modification.explain_prepared ?strategy ?engine ?solver
+          prepared tuple
       with
       | Some { repaired; cost; _ } when within_budget cost ->
           Obs.incr repaired_c;

@@ -49,6 +49,7 @@ let live_g = Obs.gauge "detector.partials_live"
 let peak_g = Obs.gauge "detector.partials_peak"
 let plan_matrices_g = Obs.gauge "detector.plan.matrices"
 let plan_fallback_c = Obs.counter "detector.plan.fallback_checks"
+let plan_rejected_c = Obs.counter "detector.plan.rejected"
 
 let root_within = function
   | Pattern.Ast.Event _ -> None
@@ -326,9 +327,14 @@ let feed_compiled t store inst =
     if Obs.Trace.should_emit () then
       Obs.Trace.emit (Obs.Trace.Detector_admit { live });
     let matches =
-      (* Pruning is conservative; the matcher is the final authority. *)
+      (* Pruning is conservative; the matcher is the final authority. A
+         rejection is counted: none has been seen yet, so the count is the
+         evidence for (or against) dropping the confirmation. *)
       List.filter
-        (fun (tuple, _) -> Pattern.Matcher.matches_set tuple t.patterns)
+        (fun (tuple, _) ->
+          let confirmed = Pattern.Matcher.matches_set tuple t.patterns in
+          if not confirmed then Obs.incr plan_rejected_c;
+          confirmed)
         out.Plan.out_matches
     in
     (match matches with

@@ -37,7 +37,9 @@ let pp_accuracy ppf { precision; recall; f_measure } =
   Format.fprintf ppf "p=%.3f r=%.3f f=%.3f" precision recall f_measure
 
 let explain_trace ?strategy ?engine ?solver ?max_cost patterns trace =
-  let net = Tcn.Encode.pattern_set patterns in
+  let prepared =
+    Explain.Modification.prepare_network (Tcn.Encode.pattern_set patterns)
+  in
   let within_budget cost =
     match max_cost with None -> true | Some budget -> cost <= budget
   in
@@ -46,8 +48,8 @@ let explain_trace ?strategy ?engine ?solver ?max_cost patterns trace =
       if Pattern.Matcher.matches_set tuple patterns then tuple
       else
         match
-          Explain.Modification.explain_network ?strategy ?engine ?solver net
-            tuple
+          Explain.Modification.explain_prepared ?strategy ?engine ?solver
+            prepared tuple
         with
         | Some { repaired; cost; _ } when within_budget cost -> repaired
         | Some _ | None | (exception Invalid_argument _) -> tuple)

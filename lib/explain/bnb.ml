@@ -47,29 +47,63 @@ type worker = {
   mutable pr_plaus : int;
 }
 
-let search ?(domains = 1)
-    ~(repair :
-        ?cutoff:int ->
-        Tuple.t ->
-        Tcn.Condition.interval list ->
-        Lp_repair.t option) ?weights ?bounds (net : Tcn.Encode.set) tuple =
-  if domains < 1 then invalid_arg "Bnb.search: domains must be >= 1";
-  Obs.incr searches_c;
-  Obs.time search_s @@ fun () ->
-  let gammas = Array.of_list net.set_bindings in
-  let ngammas = Array.length gammas in
-  let choices = Array.map Tcn.Bindings.choices gammas in
+(* The tuple-independent part of a search. [base] is Φ closed once: [None]
+   when Φ alone is inconsistent. It is forced by the first search, inside
+   that search's [bnb.search] span and in the calling domain, so a fresh
+   [prepare] pushes, counts and traces exactly like the uncached search;
+   afterwards every worker copies it and nothing mutates it. *)
+type prepared = {
+  intervals : Tcn.Condition.interval list;
+  choices : Tcn.Condition.interval list array; (* per binding level *)
+  ev : Event.t array; (* the event universe, in index order *)
+  index : int Event.Map.t;
+  base_grounded : bool array; (* per universe index: mentioned by Φ *)
+  base : Tcn.Stn_inc.t option Lazy.t;
+}
+
+let prepare (net : Tcn.Encode.set) =
+  let choices =
+    Array.of_list (List.map Tcn.Bindings.choices net.set_bindings)
+  in
   let universe =
     Event.Set.union
       (Tcn.Condition.interval_events net.set_intervals)
       (Tcn.Condition.binding_events net.set_bindings)
   in
   let ev = Array.of_list (Event.Set.elements universe) in
-  let n = Array.length ev in
   let index =
     Array.to_seqi ev
     |> Seq.fold_left (fun acc (i, e) -> Event.Map.add e i acc) Event.Map.empty
   in
+  (* Only events whose closure window has been constrained on the current
+     path are guaranteed to appear in every leaf repair below the node, so
+     only those may contribute to an admissible bound. *)
+  let base_grounded = Array.make (Array.length ev) false in
+  List.iter
+    (fun { Tcn.Condition.src; dst; _ } ->
+      base_grounded.(Event.Map.find src index) <- true;
+      base_grounded.(Event.Map.find dst index) <- true)
+    net.set_intervals;
+  let base =
+    lazy
+      (let inc = Tcn.Stn_inc.create (Array.to_list ev) in
+       if List.for_all (fun phi -> Tcn.Stn_inc.push inc phi) net.set_intervals
+       then Some inc
+       else None)
+  in
+  { intervals = net.set_intervals; choices; ev; index; base_grounded; base }
+
+let close p = ignore (Lazy.force p.base)
+
+let run ~domains
+    ~(repair :
+        ?cutoff:int ->
+        Tuple.t ->
+        Tcn.Condition.interval list ->
+        Lp_repair.t option) ?weights ?bounds p tuple =
+  let { intervals; choices; ev; index; base_grounded; base } = p in
+  let ngammas = Array.length choices in
+  let n = Array.length ev in
   let idx e = Event.Map.find e index in
   let ts = Array.map (fun e -> Tuple.find tuple e) ev in
   let weight_of e =
@@ -91,15 +125,6 @@ let search ?(domains = 1)
               | b -> b))
       ev
   in
-  (* Only events whose closure window has been constrained on the current
-     path are guaranteed to appear in every leaf repair below the node, so
-     only those may contribute to an admissible bound. *)
-  let base_grounded = Array.make n false in
-  List.iter
-    (fun { Tcn.Condition.src; dst; _ } ->
-      base_grounded.(idx src) <- true;
-      base_grounded.(idx dst) <- true)
-    net.set_intervals;
   let relevant =
     List.filter
       (fun i -> w_arr.(i) > 0 || bnd_arr.(i) <> None)
@@ -141,28 +166,23 @@ let search ?(domains = 1)
      first zero-cost binding, and determinism requires the same. *)
   let zero_at = Atomic.make max_int in
   let dummy_interval = Tcn.Condition.{ src = ""; dst = ""; lo = 0; hi = None } in
-  let make_worker () =
-    let inc = Tcn.Stn_inc.create (Array.to_list ev) in
-    let base_ok =
-      List.for_all (fun phi -> Tcn.Stn_inc.push inc phi) net.set_intervals
-    in
-    ( {
-        inc;
-        grounded = Array.make n 0;
-        path = Array.make ngammas dummy_interval;
-        leaf_lb = 0;
-        local_best = max_int;
-        local_tuple = None;
-        local_phi = [];
-        local_top = 0;
-        cutoff_used = false;
-        nodes = 0;
-        leaves = 0;
-        pr_bound = 0;
-        pr_inc = 0;
-        pr_plaus = 0;
-      },
-      base_ok )
+  let make_worker base =
+    {
+      inc = Tcn.Stn_inc.copy base;
+      grounded = Array.make n 0;
+      path = Array.make ngammas dummy_interval;
+      leaf_lb = 0;
+      local_best = max_int;
+      local_tuple = None;
+      local_phi = [];
+      local_top = 0;
+      cutoff_used = false;
+      nodes = 0;
+      leaves = 0;
+      pr_bound = 0;
+      pr_inc = 0;
+      pr_plaus = 0;
+    }
   in
   let solve_leaf wk top_idx =
     let phi_k = Array.to_list wk.path in
@@ -174,8 +194,8 @@ let search ?(domains = 1)
     let cutoff = min wk.local_best cross in
     wk.leaves <- wk.leaves + 1;
     let result =
-      if cutoff = max_int then repair tuple (phi_k @ net.set_intervals)
-      else repair ~cutoff tuple (phi_k @ net.set_intervals)
+      if cutoff = max_int then repair tuple (phi_k @ intervals)
+      else repair ~cutoff tuple (phi_k @ intervals)
     in
     match result with
     | None -> ()
@@ -245,43 +265,43 @@ let search ?(domains = 1)
   let tops = if ngammas = 0 then [||] else Array.of_list choices.(0) in
   let ntop = if ngammas = 0 then 1 else Array.length tops in
   (* Round-robin top-level subtrees across domains (the Cep.Bulk chunking
-     pattern); each domain rebuilds the shared prefix network once. *)
-  let run_worker k w_idx () =
-    let wk, base_ok = make_worker () in
-    if base_ok then
-      if ngammas = 0 then begin
-        if w_idx = 0 then
-          match lower_bound wk with
-          | None -> wk.pr_plaus <- wk.pr_plaus + 1
-          | Some lb ->
-              wk.leaf_lb <- lb;
-              solve_leaf wk 0
-      end
-      else begin
-        let i = ref w_idx in
-        while !i < ntop do
-          try_child wk 0 !i tops.(!i);
-          i := !i + k
-        done
-      end;
+     pattern); each worker starts from its own copy of the base closure. *)
+  let run_worker base k w_idx () =
+    let wk = make_worker base in
+    if ngammas = 0 then begin
+      if w_idx = 0 then
+        match lower_bound wk with
+        | None -> wk.pr_plaus <- wk.pr_plaus + 1
+        | Some lb ->
+            wk.leaf_lb <- lb;
+            solve_leaf wk 0
+    end
+    else begin
+      let i = ref w_idx in
+      while !i < ntop do
+        try_child wk 0 !i tops.(!i);
+        i := !i + k
+      done
+    end;
     wk
   in
   let k = max 1 (min domains ntop) in
   let workers =
-    if k = 1 then [ run_worker 1 0 () ]
-    else begin
-      Obs.add domains_c (k - 1);
-      (* Worker domains start with a fresh trace context; adopt the
-         spawning trace so their spans and events join its tree. *)
-      let tctx = Obs.Trace.context () in
-      let spawned =
-        List.init (k - 1) (fun i ->
-            Domain.spawn (fun () ->
-                Obs.Trace.with_context tctx (run_worker k (i + 1))))
-      in
-      let own = run_worker k 0 () in
-      own :: List.map Domain.join spawned
-    end
+    match Lazy.force base with
+    | None -> [] (* Φ alone is inconsistent: no binding can repair it *)
+    | Some base when k = 1 -> [ run_worker base 1 0 () ]
+    | Some base ->
+        Obs.add domains_c (k - 1);
+        (* Worker domains start with a fresh trace context; adopt the
+           spawning trace so their spans and events join its tree. *)
+        let tctx = Obs.Trace.context () in
+        let spawned =
+          List.init (k - 1) (fun i ->
+              Domain.spawn (fun () ->
+                  Obs.Trace.with_context tctx (run_worker base k (i + 1))))
+        in
+        let own = run_worker base k 0 () in
+        own :: List.map Domain.join spawned
   in
   (* Deterministic merge: global enumeration order = (top-level subtree,
      DFS order inside it), so min-cost with the smallest top index is
@@ -314,7 +334,7 @@ let search ?(domains = 1)
              plain model. Re-solve the winning binding without it so the
              result is bit-identical to the flat sweep. *)
           Obs.incr resolves_c;
-          match repair tuple (phi_k @ net.set_intervals) with
+          match repair tuple (phi_k @ intervals) with
           | Some { Lp_repair.repaired; cost = c; _ } ->
               assert (c = cost);
               Some (repaired, c)
@@ -346,3 +366,11 @@ let search ?(domains = 1)
   Obs.add pruned_inconsistent_c stats.pruned_inconsistent;
   Obs.add pruned_plausibility_c stats.pruned_plausibility;
   { best; stats }
+
+let search_prepared ?(domains = 1) ~repair ?weights ?bounds p tuple =
+  if domains < 1 then invalid_arg "Bnb.search: domains must be >= 1";
+  Obs.incr searches_c;
+  Obs.time search_s (fun () -> run ~domains ~repair ?weights ?bounds p tuple)
+
+let search ?domains ~repair ?weights ?bounds net tuple =
+  search_prepared ?domains ~repair ?weights ?bounds (prepare net) tuple

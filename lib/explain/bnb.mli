@@ -26,8 +26,8 @@
     minimum repair cost, solved by the same deterministic solver — and the
     property tests assert bit-identical tuples. With [domains > 1],
     top-level subtrees are distributed round-robin across that many
-    domains ({!Cep.Bulk}'s chunking pattern); each domain rebuilds the
-    prefix network once and results are merged in enumeration order, so
+    domains ({!Cep.Bulk}'s chunking pattern); each domain copies the
+    base closure once and results are merged in enumeration order, so
     the outcome is deterministic regardless of scheduling (per-search
     statistics and the [bnb.*] observability counters may vary with
     timing, the result never does). *)
@@ -50,6 +50,43 @@ type outcome = {
   stats : stats;
 }
 
+type prepared
+(** The part of a search that depends only on the network, not on the
+    tuple, the weights or the bounds: the binding choice lists, the event
+    universe and its index, and the base interval conditions Φ closed in
+    one {!Tcn.Stn_inc}. Every search, and every worker domain of a
+    parallel search, starts from its own {!Tcn.Stn_inc.copy} of that
+    closure instead of pushing Φ again.
+
+    The closure is built at most once: by the first search, inside that
+    search's [bnb.search] span and in its calling domain, or by {!close}.
+    So the first search on a fresh [prepared] pushes, counts and traces
+    exactly like {!search}, and later ones skip Φ's pushes. After that the
+    base is never mutated. A [prepared] value may be searched from several
+    domains at once only after it is closed. *)
+
+val prepare : Tcn.Encode.set -> prepared
+(** The tuple-independent setup; pushes nothing (see {!prepared}). *)
+
+val close : prepared -> unit
+(** Close Φ now if no search has yet; idempotent. Call it before sharing
+    the value across domains. *)
+
+val search_prepared :
+  ?domains:int ->
+  repair:
+    (?cutoff:int ->
+    Events.Tuple.t ->
+    Tcn.Condition.interval list ->
+    Lp_repair.t option) ->
+  ?weights:(Events.Event.t -> int) ->
+  ?bounds:(Events.Event.t -> int option) ->
+  prepared ->
+  Events.Tuple.t ->
+  outcome
+(** {!search} on a prepared network: the same outcome and statistics, and
+    the same solves and pivots. *)
+
 val search :
   ?domains:int ->
   repair:
@@ -70,6 +107,7 @@ val search :
     "return [None] unless the optimum is strictly below". [weights] and
     [bounds] must be the same functions given to the solver — the lower
     bound uses them, and admissibility depends on the agreement.
-    [domains] (default 1) caps the number of OCaml domains used.
+    [domains] (default 1) caps the number of OCaml domains used. Uncached:
+    [prepare], then {!search_prepared}.
     @raise Invalid_argument on [domains < 1], a negative weight or a
     negative bound. *)

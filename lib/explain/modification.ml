@@ -28,16 +28,37 @@ let strip_artificial tuple =
     (fun e ts acc -> if Event.is_artificial e then acc else Tuple.add e ts acc)
     tuple Tuple.empty
 
-let explain_network ?(strategy = Full) ?(engine = Bnb { domains = 1 })
-    ?(solver = Lp) ?(seed = 0) ?weights ?bounds (net : Tcn.Encode.set) tuple =
-  let repair = repair_of solver ?weights ?bounds in
+type prepared = {
+  patterns : Pattern.Ast.t list option; (* checked against, when known *)
+  net : Tcn.Encode.set;
+  required : Event.Set.t; (* the real events a tuple must bind *)
+  bnb : Bnb.prepared Lazy.t; (* built by the first [Full]+[Bnb] call *)
+}
+
+let prepare_network (net : Tcn.Encode.set) =
   let required =
     Event.Set.union
       (Tcn.Condition.interval_events net.set_intervals)
       (Tcn.Condition.binding_events net.set_bindings)
     |> Event.Set.filter (fun e -> not (Event.is_artificial e))
   in
-  if not (Event.Set.for_all (fun e -> Tuple.mem e tuple) required) then
+  { patterns = None; net; required; bnb = lazy (Bnb.prepare net) }
+
+let prepare patterns =
+  (match Pattern.Ast.validate_set patterns with
+  | Ok () -> ()
+  | Error e ->
+      invalid_arg (Format.asprintf "Modification.explain: %a" Pattern.Ast.pp_error e));
+  { (prepare_network (Tcn.Encode.pattern_set patterns)) with
+    patterns = Some patterns }
+
+let close p = Bnb.close (Lazy.force p.bnb)
+
+let run ?(strategy = Full) ?(engine = Bnb { domains = 1 }) ?(solver = Lp)
+    ?(seed = 0) ?weights ?bounds p tuple =
+  let net = p.net in
+  let repair = repair_of solver ?weights ?bounds in
+  if not (Event.Set.for_all (fun e -> Tuple.mem e tuple) p.required) then
     invalid_arg "Modification.explain: tuple does not bind every pattern event";
   let extended = Tcn.Encode.extend net tuple in
   Obs.Trace.with_trace "modification.explain" @@ fun () ->
@@ -57,7 +78,8 @@ let explain_network ?(strategy = Full) ?(engine = Bnb { domains = 1 })
   match (strategy, engine) with
   | Full, Bnb { domains } ->
       let { Bnb.best; stats } =
-        Bnb.search ~domains ~repair ?weights ?bounds net extended
+        Bnb.search_prepared ~domains ~repair ?weights ?bounds
+          (Lazy.force p.bnb) extended
       in
       finish best stats.Bnb.leaves_solved true
   | (Full | Single | Sampled _), _ ->
@@ -112,20 +134,23 @@ let explain_network ?(strategy = Full) ?(engine = Bnb { domains = 1 })
         bindings_seq;
       finish !best !tried (strategy = Full)
 
-let explain ?strategy ?engine ?solver ?seed ?weights ?bounds patterns tuple =
-  (match Pattern.Ast.validate_set patterns with
-  | Ok () -> ()
-  | Error e ->
-      invalid_arg (Format.asprintf "Modification.explain: %a" Pattern.Ast.pp_error e));
-  let net = Tcn.Encode.pattern_set patterns in
+let explain_prepared ?strategy ?engine ?solver ?seed ?weights ?bounds p tuple =
   let result =
-    explain_network ?strategy ?engine ?solver ?seed ?weights ?bounds net tuple
+    run ?strategy ?engine ?solver ?seed ?weights ?bounds p tuple
   in
-  (match result with
-  | Some { repaired; cost; _ } ->
+  (match (p.patterns, result) with
+  | Some patterns, Some { repaired; cost; _ } ->
       (* Every produced explanation must actually turn the tuple into an
          answer, at the advertised cost. *)
       assert (Pattern.Matcher.matches_set repaired patterns);
       assert (weights <> None || Tuple.delta tuple repaired = cost)
-  | None -> ());
+  | _, None | None, Some _ -> ());
   result
+
+let explain_network ?strategy ?engine ?solver ?seed ?weights ?bounds net tuple =
+  explain_prepared ?strategy ?engine ?solver ?seed ?weights ?bounds
+    (prepare_network net) tuple
+
+let explain ?strategy ?engine ?solver ?seed ?weights ?bounds patterns tuple =
+  explain_prepared ?strategy ?engine ?solver ?seed ?weights ?bounds
+    (prepare patterns) tuple

@@ -47,6 +47,44 @@ type result = {
   exact : bool;  (** true iff the strategy guarantees the optimum *)
 }
 
+type prepared
+(** A query prepared for many tuples: the validated pattern set, its
+    encoding (Φ, Γ) ({!Tcn.Encode.pattern_set}), the set of real events a
+    tuple must bind, and the branch-and-bound setup of {!Bnb.prepare}
+    (built by the first [Full]+[Bnb] call, which also closes Φ; see
+    {!Bnb.prepared}). A prepared value holds no tuple; every call on it
+    returns exactly what the uncached {!explain} returns. Before sharing
+    one across domains, {!close} it. *)
+
+val prepare : Pattern.Ast.t list -> prepared
+(** Validate and encode once. The postconditions of {!explain} (the
+    repaired tuple matches the patterns at the advertised cost) are
+    checked on every call of {!explain_prepared}.
+    @raise Invalid_argument on invalid patterns. *)
+
+val prepare_network : Tcn.Encode.set -> prepared
+(** Prepare an already-encoded network, as {!explain_network} takes it
+    (no pattern set, so no postcondition check). *)
+
+val close : prepared -> unit
+(** Build the branch-and-bound setup and close Φ now, so that several
+    domains may use the value at once. *)
+
+val explain_prepared :
+  ?strategy:strategy ->
+  ?engine:engine ->
+  ?solver:solver ->
+  ?seed:int ->
+  ?weights:(Events.Event.t -> int) ->
+  ?bounds:(Events.Event.t -> int option) ->
+  prepared ->
+  Events.Tuple.t ->
+  result option
+(** Algorithm 2 for one tuple on a prepared query: per call, only the
+    tuple's own work (the binding check, {!Tcn.Encode.extend}, the binding
+    search and its solves).
+    @raise Invalid_argument on unbound pattern events. *)
+
 val explain :
   ?strategy:strategy ->
   ?engine:engine ->
@@ -60,7 +98,7 @@ val explain :
 (** [None] when no binding admits a repair — i.e. the pattern set is
     inconsistent (with [Single]/[Sampled], possibly a false negative on a
     consistent but tricky set). The input tuple must bind every pattern
-    event.
+    event. Uncached: {!prepare}, then {!explain_prepared}.
     @raise Invalid_argument on invalid patterns or unbound pattern events. *)
 
 val explain_network :
@@ -74,4 +112,5 @@ val explain_network :
   Events.Tuple.t ->
   result option
 (** Algorithm 2 on an already-encoded network (the tuple still ranges over
-    real events only). *)
+    real events only). Uncached: {!prepare_network}, then
+    {!explain_prepared}. *)

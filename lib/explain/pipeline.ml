@@ -44,18 +44,35 @@ let explain_s =
     ~buckets:[| 100; 250; 500; 1000; 2500; 5000; 10000; 50000; 250000 |]
     "pipeline.explain"
 
-let explain_inner ?strategy ?engine ?solver ?max_cost patterns tuple =
+type prepared = {
+  patterns : Pattern.Ast.t list;
+  consistency : Consistency.report Lazy.t;
+  modification : Modification.prepared Lazy.t;
+}
+
+(* Each stage is forced where [explain_inner] first needs it, so the first
+   call on a fresh value does the work, bumps the counters and emits the
+   trace events of an uncached call, in the same order. *)
+let prepare patterns =
+  {
+    patterns;
+    consistency =
+      lazy (Consistency.check ~strategy:Consistency.Pruned patterns);
+    modification = lazy (Modification.prepare patterns);
+  }
+
+let explain_inner ?strategy ?engine ?solver ?max_cost p tuple =
+  let patterns = p.patterns in
   if Pattern.Matcher.matches_set tuple patterns then Already_answer
   else
     (* Step 2 of Figure 3: pattern consistency first — no data explanation
        exists for an unsatisfiable query. *)
-    let consistency =
-      Consistency.check ~strategy:Consistency.Pruned patterns
-    in
+    let consistency = Lazy.force p.consistency in
     if not consistency.Consistency.consistent then Inconsistent_query consistency
     else
       let modification =
-        Modification.explain ?strategy ?engine ?solver patterns tuple
+        Modification.explain_prepared ?strategy ?engine ?solver
+          (Lazy.force p.modification) tuple
       in
       let within_budget cost =
         match max_cost with None -> true | Some budget -> cost <= budget
@@ -75,7 +92,7 @@ let explain_inner ?strategy ?engine ?solver ?max_cost patterns tuple =
               | Ok qr -> Modify_query qr
               | Error _ -> No_explanation))
 
-let explain ?strategy ?engine ?solver ?max_cost patterns tuple =
+let explain_prepared ?strategy ?engine ?solver ?max_cost p tuple =
   Obs.incr explains_c;
   let outcome =
     (* The pipeline is the outermost layer, so this is usually the call
@@ -84,7 +101,34 @@ let explain ?strategy ?engine ?solver ?max_cost patterns tuple =
        the trace root is its only [pipeline.explain] span. *)
     Obs.time explain_s (fun () ->
         Obs.Trace.with_trace "pipeline.explain" (fun () ->
-            explain_inner ?strategy ?engine ?solver ?max_cost patterns tuple))
+            explain_inner ?strategy ?engine ?solver ?max_cost p tuple))
   in
   Obs.incr (outcome_counter outcome);
   outcome
+
+let capacity = 8
+let prepares_c = Obs.counter "pipeline.prepares"
+
+(* Most recently used first; one list per domain, so a prepared value is
+   only ever forced by the domain that made it. *)
+let recent : prepared list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let cached patterns =
+  let recent = Domain.DLS.get recent in
+  let hit, rest =
+    (* check: poly-compare - the key is the pattern-set value itself; callers pass one value per query *)
+    List.partition (fun p -> p.patterns == patterns) !recent
+  in
+  let p =
+    match hit with
+    | p :: _ -> p
+    | [] ->
+        Obs.incr prepares_c;
+        prepare patterns
+  in
+  recent := p :: List.filteri (fun i _ -> i < capacity - 1) rest;
+  p
+
+let explain ?strategy ?engine ?solver ?max_cost patterns tuple =
+  explain_prepared ?strategy ?engine ?solver ?max_cost (cached patterns) tuple

@@ -24,6 +24,35 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
+type prepared
+(** A query prepared for many tuples: the Pruned consistency report
+    (Algorithm 1) and the {!Modification.prepared} query (validation, the
+    encoding (Φ, Γ), the required events and the branch-and-bound setup
+    with Φ closed). Each part is computed the first time a call needs it,
+    at the point where an uncached call computes it, so the first call
+    does the work, bumps the counters and emits the trace events of an
+    uncached call in the same order; later calls skip the consistency
+    check, the encoding and Φ's pushes, and with them their
+    [consistency.*] and [stn_inc.pushes] counts. Results are exactly
+    those of an uncached call. A prepared value belongs to the domain
+    that forces it: do not use one from two domains at once. *)
+
+val prepare : Pattern.Ast.t list -> prepared
+(** Does no work yet (see {!prepared}). *)
+
+val explain_prepared :
+  ?strategy:Modification.strategy ->
+  ?engine:Modification.engine ->
+  ?solver:Modification.solver ->
+  ?max_cost:int ->
+  prepared ->
+  Events.Tuple.t ->
+  outcome
+(** Figure 3 on one tuple against a prepared query. *)
+
+val capacity : int
+(** 8: how many prepared queries {!explain} keeps per domain. *)
+
 val explain :
   ?strategy:Modification.strategy ->
   ?engine:Modification.engine ->
@@ -32,6 +61,11 @@ val explain :
   Pattern.Ast.t list ->
   Events.Tuple.t ->
   outcome
-(** Run Figure 3 on one expected-but-missing tuple.
+(** Run Figure 3 on one expected-but-missing tuple. The query is prepared
+    once and kept in a per-domain most-recently-used list of {!capacity}
+    entries, keyed by the {e physical identity} of the pattern-set value:
+    pass the same list for every tuple of one query (a structurally equal
+    copy is a different key, prepared afresh). Each miss bumps
+    [pipeline.prepares].
     @raise Invalid_argument on invalid patterns or a tuple missing pattern
     events. *)

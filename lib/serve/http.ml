@@ -171,9 +171,10 @@ type received =
    input or a repeated Content-Length, 408 for a read timeout, 411 for a
    body framed by Transfer-Encoding, which this server does not decode,
    413 for oversized bodies). A timeout relies on the caller having set
-   SO_RCVTIMEO on [fd]; without it reads block indefinitely. *)
-let recv_request fd pending =
-  let chunk = Bytes.create 4096 in
+   SO_RCVTIMEO on [fd]; without it reads block indefinitely. [chunk] is
+   the connection's read buffer, reused by every request on it: a 4 KiB
+   [Bytes.t] is too large for the minor heap. *)
+let recv_request fd chunk pending =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf !pending;
   pending := "";
@@ -354,12 +355,14 @@ let handle_conn ~io_timeout ~keepalive_limit t handler fd =
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO io_timeout;
         Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout
       end;
+      let chunk = Bytes.create 4096 in
       let pending = ref "" in
       let rec turn served =
         let keep_going =
           Obs.Request.with_scope (fun sc ->
               let received =
-                Obs.time Obs.Request.read (fun () -> recv_request fd pending)
+                Obs.time Obs.Request.read (fun () ->
+                    recv_request fd chunk pending)
               in
               match received with
               | Closed ->

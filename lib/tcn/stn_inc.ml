@@ -39,6 +39,9 @@ let create events =
   done;
   { events; index; dist; frames = []; nframes = 0; inconsistent = false }
 
+(* Frames are immutable and shared; only the matrix is mutated in place. *)
+let copy t = { t with dist = Array.map Array.copy t.dist }
+
 let consistent t = not t.inconsistent
 
 let find_index t e =

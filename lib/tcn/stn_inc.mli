@@ -20,6 +20,14 @@ val create : Events.Event.t list -> t
     front), initially unconstrained except for the implicit non-negative
     domain. *)
 
+val copy : t -> t
+(** An independent network with the same closure, stack and depth: pushes
+    and pops on either leave the other's windows unchanged. It costs one
+    copy of the (n+1)^2 matrix, against O(n^2) per re-pushed condition, so
+    a search that starts from a fixed base closes the base once and copies
+    it (see {!Explain.Bnb.prepare}). Emits no trace event and counts no
+    push. *)
+
 val consistent : t -> bool
 
 val push : t -> Condition.interval -> bool

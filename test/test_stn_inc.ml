@@ -196,10 +196,50 @@ let prop_window_tight =
           events
       end)
 
+(* A copy shares nothing mutable with its source: the bnb search copies one
+   prepared base closure per search and per worker domain, and a push or
+   pop on any copy must leave the base (and every other copy) untouched. *)
+let test_copy_independent () =
+  let events = [ "A"; "B"; "C"; "D" ] in
+  let windows inc = List.map (Stn_inc.window inc) events in
+  let base = Stn_inc.create events in
+  ignore (Stn_inc.push base (Condition.interval ~lo:2 ~hi:10 "A" "B"));
+  ignore (Stn_inc.push base (Condition.interval ~lo:1 ~hi:4 "B" "C"));
+  let before = windows base in
+  let copy = Stn_inc.copy base in
+  check_int "copy keeps the depth" 2 (Stn_inc.depth copy);
+  check_bool "copy starts with the same windows" true (windows copy = before);
+  check_bool "copy: tightening push" true
+    (Stn_inc.push copy (Condition.interval ~lo:0 ~hi:3 "C" "D"));
+  check_bool "copy: second tightening push" true
+    (Stn_inc.push copy (Condition.interval ~lo:6 "A" "D"));
+  check_bool "the copy's windows moved" true (windows copy <> before);
+  check_bool "base untouched by the copy's pushes" true (windows base = before);
+  check_int "base depth untouched" 2 (Stn_inc.depth base);
+  check_bool "copy: contradicting push" false
+    (Stn_inc.push copy (Condition.interval ~lo:1 "D" "A"));
+  check_bool "base still consistent" true (Stn_inc.consistent base);
+  Stn_inc.pop copy;
+  Stn_inc.pop copy;
+  Stn_inc.pop copy;
+  (* popping below the copy's starting depth undoes the shared frames on
+     the copy only *)
+  Stn_inc.pop copy;
+  check_int "copy popped past its origin" 1 (Stn_inc.depth copy);
+  check_bool "base untouched by the copy's pops" true (windows base = before);
+  let again = Stn_inc.copy base in
+  ignore (Stn_inc.push base (Condition.interval ~lo:7 ~hi:7 "A" "D"));
+  check_bool "the base's windows moved" true (windows base <> before);
+  check_bool "a copy is untouched by the base's pushes" true
+    (windows again = before);
+  Stn_inc.pop base;
+  check_bool "base restored" true (windows base = before)
+
 let suite =
   ( "stn_inc",
     [
       Alcotest.test_case "push/pop basics" `Quick test_push_pop_basic;
+      Alcotest.test_case "copy is independent" `Quick test_copy_independent;
       Alcotest.test_case "inconsistent state discipline" `Quick
         test_push_while_inconsistent_raises;
       Alcotest.test_case "unknown event" `Quick test_unknown_event;

@@ -229,6 +229,56 @@ let test_table1_trace_pinned () =
     (Digest.to_hex
        (Digest.string (Report.Trace_json.jsonl ~timings:false events)))
 
+(* The same explain on a cached query: the value is prepared by a first
+   call, then explained again. The cached call's trace is the uncached one
+   without the consistency check's span and without Φ's pushes inside
+   bnb.search (the search copies the prepared closure), and nothing else
+   moves: pinned by count and digest, and derived from the uncached trace
+   event by event. *)
+let test_table1_cached_trace_pinned () =
+  let query = [ p0 ] in
+  let nphi =
+    List.length (Tcn.Encode.pattern_set query).Tcn.Encode.set_intervals
+  in
+  let shape (e : T.event) =
+    match e.kind with
+    | T.Span_open { name; _ } -> "open " ^ name
+    | T.Span_close { name } -> "close " ^ name
+    | T.Stn_push { depth; consistent } ->
+        Printf.sprintf "push %d %b" depth consistent
+    | T.Stn_pop { depth } -> Printf.sprintf "pop %d" depth
+    | k -> T.kind_name k
+  in
+  with_tracer @@ fun () ->
+  let run () =
+    T.clear ();
+    ignore
+      (Explain.Pipeline.explain ~strategy:Explain.Modification.Full query t2);
+    T.events ()
+  in
+  let uncached = run () in
+  let cached = run () in
+  check_int "cached explain event count" 171 (List.length cached);
+  check_str "cached explain JSONL digest" "aba4da702476a835bef146fa86d5efce"
+    (Digest.to_hex
+       (Digest.string (Report.Trace_json.jsonl ~timings:false cached)));
+  (* drop the consistency.check subtree, then Φ's pushes (the only pushes
+     at depth <= |Φ| outside it) *)
+  let rec strip inside = function
+    | [] -> []
+    | "open consistency.check" :: rest -> strip true rest
+    | "close consistency.check" :: rest -> strip false rest
+    | _ :: rest when inside -> strip inside rest
+    | s :: rest -> (
+        match String.split_on_char ' ' s with
+        | [ "push"; d; _ ] when int_of_string d <= nphi -> strip inside rest
+        | _ -> s :: strip inside rest)
+  in
+  Alcotest.(check (list string))
+    "cached = uncached minus the consistency check and Φ's pushes"
+    (strip false (List.map shape uncached))
+    (List.map shape cached)
+
 let test_chrome_export_valid () =
   with_tracer @@ fun () ->
   explain_workload ();
@@ -369,6 +419,8 @@ let suite =
       Alcotest.test_case "chrome export valid" `Quick test_chrome_export_valid;
       Alcotest.test_case "folded export" `Quick test_folded_export;
       Alcotest.test_case "bench compare gate" `Quick test_compare_gate;
+      Alcotest.test_case "Table-1 cached explain trace pinned" `Quick
+        test_table1_cached_trace_pinned;
       Alcotest.test_case "Table-1 explain trace pinned" `Quick
         test_table1_trace_pinned;
     ] )
