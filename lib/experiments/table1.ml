@@ -6,6 +6,8 @@ type result = {
   inconsistent_variant_rejected : bool;
   full_cost : int;
   full_bindings : int;
+  bnb_leaves : int;
+  bnb_same_repair : bool;
   single_cost : int;
   example3_cost : int;
   example3_e4 : string;
@@ -35,9 +37,15 @@ let t2 =
     [ ("E1", hm "17:06"); ("E2", hm "18:54"); ("E3", hm "17:24"); ("E4", hm "20:08") ]
 
 let run () =
-  let full =
-    Option.get (Explain.Modification.explain ~strategy:Explain.Modification.Full [ p0 ] t2)
+  let full engine =
+    Option.get
+      (Explain.Modification.explain ~strategy:Explain.Modification.Full ~engine
+         [ p0 ] t2)
   in
+  (* Algorithm 2 as published sweeps every binding; branch-and-bound (the
+     default engine) must return the same repair from fewer leaves. *)
+  let flat = full Explain.Modification.Flat in
+  let bnb = full (Explain.Modification.Bnb { domains = 1 }) in
   let single =
     Option.get
       (Explain.Modification.explain ~strategy:Explain.Modification.Single [ p0 ] t2)
@@ -51,8 +59,11 @@ let run () =
     t2_matches = Pattern.Matcher.matches t2 p0;
     inconsistent_variant_rejected =
       not (Explain.Consistency.check [ inconsistent_variant ]).consistent;
-    full_cost = full.cost;
-    full_bindings = full.bindings_tried;
+    full_cost = flat.cost;
+    full_bindings = flat.bindings_tried;
+    bnb_leaves = bnb.bindings_tried;
+    bnb_same_repair =
+      bnb.cost = flat.cost && Tuple.equal bnb.repaired flat.repaired;
     single_cost = single.cost;
     example3_cost = ex3.cost;
     example3_e4 = Events.Time.to_hm (Tuple.find ex3.repaired "E4");
@@ -71,6 +82,8 @@ let print r =
       ];
       [ "Pattern(Full) cost on t2 (min)"; string_of_int r.full_cost; "44" ];
       [ "bindings enumerated"; string_of_int r.full_bindings; "16" ];
+      [ "branch-and-bound leaves solved"; string_of_int r.bnb_leaves; "-" ];
+      [ "branch-and-bound repair = swept repair"; string_of_bool r.bnb_same_repair; "-" ];
       [ "Pattern(Single) cost on t2"; string_of_int r.single_cost; "44" ];
       [ "Example 3 (simple STN) cost"; string_of_int r.example3_cost; "44" ];
       [ "Example 5 repaired E4"; r.example3_e4; "19:24" ];

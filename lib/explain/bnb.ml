@@ -17,7 +17,6 @@ let leaves_c = Obs.counter "bnb.leaves_solved"
 let pruned_bound_c = Obs.counter "bnb.pruned_bound"
 let pruned_inconsistent_c = Obs.counter "bnb.pruned_inconsistent"
 let pruned_plausibility_c = Obs.counter "bnb.pruned_plausibility"
-let resolves_c = Obs.counter "bnb.incumbent_resolves"
 let domains_c = Obs.counter "bnb.domains_spawned"
 let zero_stops_c = Obs.counter "bnb.zero_stops"
 let search_s = Obs.span "bnb.search"
@@ -37,9 +36,7 @@ type worker = {
   mutable leaf_lb : int; (* lower bound at the deepest pushed node *)
   mutable local_best : int;
   mutable local_tuple : Tuple.t option;
-  mutable local_phi : Tcn.Condition.interval list;
   mutable local_top : int; (* top-level subtree of the local incumbent *)
-  mutable cutoff_used : bool; (* incumbent solve carried a cutoff row *)
   mutable nodes : int;
   mutable leaves : int;
   mutable pr_bound : int;
@@ -87,6 +84,8 @@ let prepare (net : Tcn.Encode.set) =
   let base =
     lazy
       (let inc = Tcn.Stn_inc.create (Array.to_list ev) in
+       (* the bound reads the closure by index, so the two orders agree *)
+       assert (Array.for_all2 Event.equal (Tcn.Stn_inc.events inc) ev);
        if List.for_all (fun phi -> Tcn.Stn_inc.push inc phi) net.set_intervals
        then Some inc
        else None)
@@ -105,7 +104,11 @@ let run ~domains
   let ngammas = Array.length choices in
   let n = Array.length ev in
   let idx e = Event.Map.find e index in
-  let ts = Array.map (fun e -> Tuple.find tuple e) ev in
+  (* Observed timestamps by closure index; index [n] is the origin,
+     observed (and pinned) at 0. *)
+  let ts =
+    Array.init (n + 1) (fun i -> if i = n then 0 else Tuple.find tuple ev.(i))
+  in
   let weight_of e =
     if Event.is_artificial e then 0
     else match weights with None -> 1 | Some f -> f e
@@ -130,29 +133,90 @@ let run ~domains
       (fun i -> w_arr.(i) > 0 || bnd_arr.(i) <> None)
       (List.init n Fun.id)
   in
-  (* The admissible L1 lower bound: each grounded event independently must
-     move at least the distance from its observed timestamp to its current
-     closure window (windows only shrink deeper in the tree, and every leaf
-     solution is feasible for every prefix closure, so the bound holds for
-     all leaves of the subtree). [None] = some event's minimal forced move
-     already exceeds its plausibility bound: no leaf below is feasible. *)
+  let priced = Array.of_list (List.filter (fun i -> w_arr.(i) > 0) relevant) in
+  let grounded wk i = base_grounded.(i) || wk.grounded.(i) > 0 in
+  (* How far the closure forces the gap t(j) - t(i) off its observed value:
+     every leaf repair t' below the node has
+     -d(j,i) <= t'(j) - t'(i) <= d(i,j), so the moves of i and j add up to
+     at least this much. For i = the origin it is j's distance to its
+     closure window. *)
+  let viol inc i j =
+    let delta = ts.(j) - ts.(i) in
+    max 0
+      (max
+         (delta - Tcn.Stn_inc.distance inc i j)
+         (Tcn.Weight.neg (Tcn.Stn_inc.distance inc j i) - delta))
+  in
+  (* Two admissible L1 lower bounds on every leaf below the node, over the
+     grounded events only (those constrained on the current path, hence
+     present in every leaf repair below it). The closure only tightens
+     deeper in the tree and every leaf is feasible for every prefix
+     closure, so both hold for the whole subtree.
+
+     The window sum: each event must move at least its distance to its
+     closure window. It rarely moves, since ATLEAST and WITHIN windows are
+     relative and only a chain from time 0 bounds an event absolutely.
+
+     The pair matching: a pair (i, j) costs at least
+     min(w_i, w_j) * viol i j, and pairs that share no event add up; a
+     pair with the origin is a window term, and the origin pairs with any
+     number of events. Pairs are taken greedily, heaviest first.
+
+     The bound is the larger of the two; [None] = some event's forced move
+     to its window exceeds its plausibility bound, so no leaf below is
+     feasible. *)
+  let matching wk =
+    let pairs = ref [] in
+    Array.iteri
+      (fun a i ->
+        if grounded wk i then
+          for b = a + 1 to Array.length priced - 1 do
+            let j = priced.(b) in
+            if grounded wk j then begin
+              let v = viol wk.inc i j in
+              if v > 0 then
+                pairs := (min w_arr.(i) w_arr.(j) * v, i, j) :: !pairs
+            end
+          done)
+      priced;
+    match !pairs with
+    | [] -> 0 (* only origin pairs: the window sum *)
+    | pairs ->
+        let window acc i =
+          let v = if grounded wk i then viol wk.inc n i else 0 in
+          if v > 0 then (w_arr.(i) * v, n, i) :: acc else acc
+        in
+        let heaviest_first (v1, i1, j1) (v2, i2, j2) =
+          if v1 <> v2 then Int.compare v2 v1
+          else if i1 <> i2 then Int.compare i1 i2
+          else Int.compare j1 j2
+        in
+        let used = Array.make (n + 1) false in
+        List.fold_left
+          (fun total (v, i, j) ->
+            if (i = n || not used.(i)) && not used.(j) then begin
+              used.(i) <- true;
+              used.(j) <- true;
+              total + v
+            end
+            else total)
+          0
+          (List.sort heaviest_first (Array.fold_left window pairs priced))
+  in
   let lower_bound wk =
-    let rec go acc = function
+    let rec windows acc = function
       | [] -> Some acc
       | i :: rest ->
-          if not (base_grounded.(i) || wk.grounded.(i) > 0) then go acc rest
+          if not (grounded wk i) then windows acc rest
           else
-            let lo, hi = Tcn.Stn_inc.window wk.inc ev.(i) in
-            let c = ts.(i) in
-            let move =
-              if c < lo then lo - c
-              else match hi with Some h when c > h -> c - h | _ -> 0
-            in
+            let move = viol wk.inc n i in
             (match bnd_arr.(i) with
             | Some r when move > r -> None
-            | _ -> go (acc + (w_arr.(i) * move)) rest)
+            | _ -> windows (acc + (w_arr.(i) * move)) rest)
     in
-    go 0 relevant
+    match windows 0 relevant with
+    | None -> None
+    | Some sum -> Some (max sum (matching wk))
   in
   let ground wk { Tcn.Condition.src; dst; _ } delta =
     let s = idx src and d = idx dst in
@@ -174,9 +238,7 @@ let run ~domains
       leaf_lb = 0;
       local_best = max_int;
       local_tuple = None;
-      local_phi = [];
       local_top = 0;
-      cutoff_used = false;
       nodes = 0;
       leaves = 0;
       pr_bound = 0;
@@ -184,27 +246,23 @@ let run ~domains
       pr_plaus = 0;
     }
   in
-  let solve_leaf wk top_idx =
-    let phi_k = Array.to_list wk.path in
+  (* Strict improvement locally; across domains, keep any leaf at or below
+     the global incumbent so enumeration-order merging stays bit-identical
+     to the sequential sweep. *)
+  let improves wk cost =
     let g = Atomic.get best_global in
-    let cross = if g = max_int then max_int else g + 1 in
-    (* Strict improvement locally; across domains, keep any leaf at or
-       below the global incumbent so enumeration-order merging stays
-       bit-identical to the sequential sweep. *)
-    let cutoff = min wk.local_best cross in
+    cost < wk.local_best && (g = max_int || cost <= g)
+  in
+  (* Each leaf solves the plain repair LP, the one the flat sweep solves,
+     and keeps it only if it improves, so the winner's repair is already
+     the flat sweep's. *)
+  let solve_leaf wk top_idx =
     wk.leaves <- wk.leaves + 1;
-    let result =
-      if cutoff = max_int then repair tuple (phi_k @ intervals)
-      else repair ~cutoff tuple (phi_k @ intervals)
-    in
-    match result with
-    | None -> ()
-    | Some { Lp_repair.repaired; cost; _ } ->
+    match repair tuple (Array.to_list wk.path @ intervals) with
+    | Some { Lp_repair.repaired; cost; _ } when improves wk cost ->
         wk.local_best <- cost;
         wk.local_tuple <- Some repaired;
-        wk.local_phi <- phi_k;
         wk.local_top <- top_idx;
-        wk.cutoff_used <- cutoff <> max_int;
         Obs.observe gap_h (cost - wk.leaf_lb);
         atomic_min best_global cost;
         if Obs.Trace.should_emit () then
@@ -215,6 +273,7 @@ let run ~domains
             Obs.Trace.emit (Obs.Trace.Bnb_zero_stop { top = top_idx });
           atomic_min zero_at top_idx
         end
+    | Some _ | None -> ()
   in
   let rec descend wk level top_idx =
     if level = ngammas then solve_leaf wk top_idx
@@ -313,34 +372,14 @@ let run ~domains
         | None -> acc
         | Some t -> (
             match acc with
-            | Some (c, top, _, _, _)
+            | Some (c, top, _)
               when c < wk.local_best || (c = wk.local_best && top < wk.local_top)
               ->
                 acc
-            | _ ->
-                Some
-                  (wk.local_best, wk.local_top, t, wk.local_phi, wk.cutoff_used)
-            ))
+            | _ -> Some (wk.local_best, wk.local_top, t)))
       None workers
   in
-  let best =
-    match winner with
-    | None -> None
-    | Some (cost, _top, repaired, phi_k, cutoff_used) ->
-        if not cutoff_used then Some (repaired, cost)
-        else begin
-          (* The winning solve carried an incumbent-cutoff row, which can
-             select a different vertex among equal-cost optima than the
-             plain model. Re-solve the winning binding without it so the
-             result is bit-identical to the flat sweep. *)
-          Obs.incr resolves_c;
-          match repair tuple (phi_k @ intervals) with
-          | Some { Lp_repair.repaired; cost = c; _ } ->
-              assert (c = cost);
-              Some (repaired, c)
-          | None -> assert false
-        end
-  in
+  let best = Option.map (fun (cost, _top, repaired) -> (repaired, cost)) winner in
   let stats =
     List.fold_left
       (fun acc wk ->

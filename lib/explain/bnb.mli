@@ -9,17 +9,26 @@
     work (O(n^2) per edge instead of O(n^3) per leaf).
 
     At every node an admissible lower bound on the repair cost of {e any}
-    leaf below it is read off the incremental closure: each event that is
-    grounded on the current path (it appears in the base interval
-    conditions or in a pushed binding choice, so it is constrained in
-    every completion) must move at least the L1 distance from its observed
-    timestamp to its closure window, at its weight. Closure windows only
-    shrink along a root-to-leaf path and every leaf solution is feasible
-    for every prefix closure, hence admissibility. Subtrees whose bound
+    leaf below it is read off the incremental closure, over the events
+    grounded on the current path (they appear in the base interval
+    conditions or in a pushed binding choice, so they are constrained in
+    every completion). It is the larger of two sums. The window sum: each
+    grounded event must move at least the L1 distance from its observed
+    timestamp to its closure window, at its weight. The pair matching:
+    for grounded events i and j, every leaf keeps [t'(j) - t'(i)] within
+    the closure's distances ({!Tcn.Stn_inc.distance}), so the two must
+    move by at least [viol(i,j) = max(0, δ - d(i,j), -d(j,i) - δ)] in
+    all, where [δ = t(j) - t(i)], at a cost of at least
+    [min(w_i, w_j) * viol(i,j)]; a greedy matching of violated pairs,
+    heaviest first and each event in at most one pair (a pair with the
+    origin is a window term), sums to a bound. The closure only tightens
+    along a root-to-leaf path and every leaf solution is feasible for
+    every prefix closure, hence admissibility. Subtrees whose bound
     reaches the incumbent are pruned; so are subtrees in which some
-    event's minimal forced move already exceeds its plausibility bound.
-    The incumbent is also threaded into the leaf solver as a [cutoff], and
-    the whole search stops early once a zero-cost repair is found.
+    event's minimal forced move to its window already exceeds its
+    plausibility bound. Each leaf solves the plain repair LP and keeps it
+    only when it is strictly cheaper than the incumbent, and the whole
+    search stops early once a zero-cost repair is found.
 
     The search returns {e exactly} what the flat sweep returns — the first
     binding (in {!Tcn.Bindings.full} enumeration order) attaining the
@@ -103,8 +112,10 @@ val search :
     [net.set_bindings]. [extended] must bind every event of the network
     (artificial included — pass the result of {!Tcn.Encode.extend}).
     [repair] is the leaf solver, typically {!Lp_repair.repair} or
-    {!Flow_repair.repair} partially applied; it must honour [cutoff] as
-    "return [None] unless the optimum is strictly below". [weights] and
+    {!Flow_repair.repair} partially applied; the search never passes
+    [?cutoff] (the parameter is in the type so those solvers fit it as
+    they are), so every leaf solves the same plain model the flat sweep
+    solves. [weights] and
     [bounds] must be the same functions given to the solver — the lower
     bound uses them, and admissibility depends on the agreement.
     [domains] (default 1) caps the number of OCaml domains used. Uncached:

@@ -49,10 +49,9 @@ let build ?(weights = default_weight) ?(bounds = fun _ -> None) ?cutoff tuple in
   done;
   let objective = !objective in
   Simplex.set_objective model objective;
-  (* Incumbent cutoff (branch-and-bound): only repairs strictly cheaper
-     than [cutoff] are of interest, and costs are integral, so a budget
-     constraint of [cutoff - 1] makes every dominated binding infeasible
-     instead of paying for its exact optimum. *)
+  (* Incumbent cutoff: only repairs strictly cheaper than [cutoff] are of
+     interest, and costs are integral, so a budget constraint of
+     [cutoff - 1] makes every dominated binding infeasible. *)
   (match cutoff with
   | Some c -> Simplex.add_constraint model objective Simplex.Le (Rat.of_int (c - 1))
   | None -> ());

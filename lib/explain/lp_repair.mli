@@ -35,9 +35,12 @@ val repair :
     [bounds] caps how far each real event may move (plausibility: a repair
     shifting a timestamp across days is no explanation); [None] (the
     default everywhere) leaves it unbounded, and too-tight bounds make the
-    repair infeasible ([None] result). [cutoff] is a branch-and-bound
-    incumbent: only repairs of cost strictly below it are wanted, so any
-    instance whose optimum is [>= cutoff] returns [None] (implemented as a
-    budget constraint of [cutoff - 1]; costs are integral).
+    repair infeasible ([None] result). [cutoff] is an incumbent: only
+    repairs of cost strictly below it are wanted, so any instance whose
+    optimum is [>= cutoff] returns [None] (implemented as a budget
+    constraint of [cutoff - 1]; costs are integral). {!Bnb} does not pass
+    it: the budget row is dense, breaks the difference system's total
+    unimodularity (it is where the tableau takes fractions), and its
+    leaves solve faster without it.
     @raise Not_found if an event of the conditions is unbound.
     @raise Invalid_argument on a negative weight or bound. *)

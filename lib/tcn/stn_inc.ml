@@ -111,16 +111,9 @@ let depth t = t.nframes
 
 let events t = t.events
 
-let window t e =
-  if t.inconsistent then invalid_arg "Stn_inc.window: inconsistent network";
-  let i = find_index t e in
-  let n = Array.length t.events in
-  (* Rows/columns of the origin (pinned at 0) are the unary projections of
-     the closure: t(e) <= d(origin, e) and t(e) >= -d(e, origin). The
-     implicit non-negative domain keeps the lower bound at >= 0. *)
-  let lo = Weight.neg t.dist.(i).(n) in
-  let hi = if t.dist.(n).(i) >= inf then None else Some t.dist.(n).(i) in
-  (lo, hi)
+let distance t i j =
+  if t.inconsistent then invalid_arg "Stn_inc.distance: inconsistent network";
+  t.dist.(i).(j)
 
 let solution t =
   if t.inconsistent then None

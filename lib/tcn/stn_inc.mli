@@ -22,7 +22,7 @@ val create : Events.Event.t list -> t
 
 val copy : t -> t
 (** An independent network with the same closure, stack and depth: pushes
-    and pops on either leave the other's windows unchanged. It costs one
+    and pops on either leave the other's distances unchanged. It costs one
     copy of the (n+1)^2 matrix, against O(n^2) per re-pushed condition, so
     a search that starts from a fixed base closes the base once and copies
     it (see {!Explain.Bnb.prepare}). Emits no trace event and counts no
@@ -46,15 +46,17 @@ val depth : t -> int
 val events : t -> Events.Event.t array
 (** The fixed event universe in internal index order. *)
 
-val window : t -> Events.Event.t -> Events.Time.t * Events.Time.t option
-(** [(lo, hi)] — the exact unary projection of the current closure onto
-    one event: every feasible assignment has [lo <= t(e)], and [t(e) <= h]
-    when [hi = Some h] ([None] = unbounded above). Because the matrix is a
-    shortest-path closure these bounds are tight (minimal-network
-    property), and they only shrink under further pushes — the heart of
-    the branch-and-bound lower bound of {!Explain.Bnb}.
-    @raise Invalid_argument if the network is inconsistent or the event
-    unknown. *)
+val distance : t -> int -> int -> int
+(** [distance t i j] — the current closure's shortest-path distance from
+    event [i] to event [j], by their indices in {!events}; index
+    [n = Array.length (events t)] is the origin, pinned at time 0. Every
+    feasible assignment has [t(j) - t(i) <= distance t i j] ({!Weight.inf}
+    = unbounded), the bounds are tight (minimal network), and they only
+    shrink under further pushes. The origin's row and column are each
+    event's window: [-distance t i n <= t(i) <= distance t n i]. The lower
+    bound of {!Explain.Bnb} reads its window and pair terms here. O(1).
+    @raise Invalid_argument if the network is inconsistent or an index is
+    out of range. *)
 
 val solution : t -> Events.Tuple.t option
 (** A feasible non-negative assignment for the currently-pushed conditions

@@ -1,6 +1,7 @@
 open Whynot
 module Modification = Explain.Modification
 module Tuple = Events.Tuple
+module Ast = Pattern.Ast
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -67,6 +68,76 @@ let prop_parallel_equals_serial =
         (explain (Modification.Bnb { domains = 1 }) pat t)
         (explain (Modification.Bnb { domains = 3 }) pat t))
 
+(* Wider and nested ANDs, where the binding space is large enough for the
+   bound to cut: fig11's AND(E1..En) for n = 4..6 (n^2 bindings), an AND
+   inside a SEQ, and two ANDs in one SEQ. Tuples are faulted answers, at a
+   fault distance on the scale of the pattern's windows. *)
+let nested_shapes =
+  let e = Ast.event in
+  [|
+    (fun st -> (Datagen.Workloads.fig11_pattern ~n:(4 + Random.State.int st 3), 400));
+    (fun _ ->
+      ( Ast.seq ~within:200
+          [ e "E0"; Ast.and_ ~atleast:10 ~within:60 [ e "E1"; e "E2"; e "E3" ]; e "E4" ],
+        50 ));
+    (fun _ ->
+      ( Ast.seq ~atleast:60
+          [ Ast.and_ ~within:30 [ e "E1"; e "E2"; e "E3" ];
+            Ast.and_ ~within:30 [ e "E4"; e "E5"; e "E6" ] ],
+        80 ));
+    (fun _ ->
+      ( Ast.and_ ~atleast:20 ~within:120
+          [ Ast.seq ~within:30 [ e "E1"; e "E2" ];
+            Ast.and_ ~within:40 [ e "E3"; e "E4"; e "E5" ] ],
+        60 ));
+  |]
+
+(* A pattern, a faulted answer, and whether to price events by
+   [some_weights] and to cap their moves at a plausibility bound. *)
+let arb_nested =
+  let gen st =
+    let pat, distance =
+      nested_shapes.(Random.State.int st (Array.length nested_shapes)) st
+    in
+    let prng = Numeric.Prng.create (Random.State.bits st) in
+    let t =
+      Datagen.Faults.tuple prng ~rate:0.5 ~distance
+        (Datagen.Workloads.random_matching_tuple ~horizon:(10 * distance) prng
+           [ pat ])
+    in
+    (pat, t, distance, Random.State.bool st, Random.State.bool st)
+  in
+  QCheck.make
+    ~print:(fun (pat, t, distance, weighted, bounded) ->
+      Format.asprintf "%a over %a (distance %d, weighted %b, bounded %b)"
+        Ast.pp pat Tuple.pp t distance weighted bounded)
+    gen
+
+let counter name = Option.value ~default:0 (Whynot.Obs.find_counter name)
+
+(* Bnb = Flat on every instance, and the bound does cut on some: the
+   pairwise bound must stay admissible where it is armed, not only where
+   it never fires. *)
+let test_bound_nested_ands () =
+  let pruned = ref 0 in
+  let prop =
+    QCheck.Test.make ~name:"BnB = flat on wider and nested ANDs" ~count:120
+      arb_nested (fun (pat, t, distance, weighted, bounded) ->
+        let weights = if weighted then Some some_weights else None in
+        let bounds =
+          if bounded then
+            Some (fun e -> if Hashtbl.hash e mod 2 = 0 then Some (2 * distance) else None)
+          else None
+        in
+        let flat = explain Modification.Flat ?weights ?bounds pat t in
+        let before = counter "bnb.pruned_bound" in
+        let bnb = explain (Modification.Bnb { domains = 1 }) ?weights ?bounds pat t in
+        pruned := !pruned + counter "bnb.pruned_bound" - before;
+        equal_result flat bnb)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 20210620 |]) prop;
+  check_bool "the bound pruned on some instance" true (!pruned > 0)
+
 let test_paper_example () =
   let p0 = p "SEQ(AND(E1, E3) WITHIN 30, AND(E2, E4) WITHIN 30) ATLEAST 120" in
   let t2 =
@@ -129,6 +200,8 @@ let suite =
       Gen.qt prop_bnb_equals_flat_bounded;
       Gen.qt prop_bnb_equals_flat_flow;
       Gen.qt prop_parallel_equals_serial;
+      Alcotest.test_case "bound on wider and nested ANDs" `Quick
+        test_bound_nested_ands;
       Alcotest.test_case "paper example (Table 1)" `Quick test_paper_example;
       Alcotest.test_case "bound pruning on AND(E1..E6)" `Quick test_bnb_prunes;
       Alcotest.test_case "zero-cost short circuit" `Quick

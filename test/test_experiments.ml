@@ -19,6 +19,8 @@ let test_table1 () =
   check_bool "inconsistent variant" true r.inconsistent_variant_rejected;
   check_int "full cost 44" 44 r.full_cost;
   check_int "16 bindings" 16 r.full_bindings;
+  check_int "bnb: 3 leaves" 3 r.bnb_leaves;
+  check_bool "bnb: the sweep's cost and repaired tuple" true r.bnb_same_repair;
   check_int "single cost 44" 44 r.single_cost;
   check_int "example 3 cost 44" 44 r.example3_cost
 

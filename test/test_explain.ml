@@ -181,13 +181,20 @@ let test_modification_paper_example () =
   let t2 =
     Tuple.of_list [ ("E1", 1026); ("E2", 1134); ("E3", 1044); ("E4", 1208) ]
   in
-  (match Modification.explain ~strategy:Modification.Full [ p0 ] t2 with
-  | Some { cost; bindings_tried; repaired; exact } ->
-      check_int "cost 44 (Example 6)" 44 cost;
-      check_int "16 bindings" 16 bindings_tried;
-      check_bool "exact" true exact;
-      check_bool "matches" true (Pattern.Matcher.matches repaired p0)
-  | None -> Alcotest.fail "expected repair");
+  (* Algorithm 2 as published sweeps every binding; the branch-and-bound
+     engine (the default) returns the same repair from fewer leaves. *)
+  let full engine = Modification.explain ~strategy:Modification.Full ~engine [ p0 ] t2 in
+  (match (full Modification.Flat, full (Modification.Bnb { domains = 1 })) with
+  | Some flat, Some bnb ->
+      check_int "cost 44 (Example 6)" 44 flat.cost;
+      check_int "16 bindings" 16 flat.bindings_tried;
+      check_bool "exact" true flat.exact;
+      check_bool "matches" true (Pattern.Matcher.matches flat.repaired p0);
+      check_int "bnb: cost 44" 44 bnb.cost;
+      check_bool "bnb: the flat sweep's repaired tuple" true
+        (Tuple.equal flat.repaired bnb.repaired);
+      check_int "bnb: 3 leaves solved" 3 bnb.bindings_tried
+  | _ -> Alcotest.fail "expected repair");
   match Modification.explain ~strategy:Modification.Single [ p0 ] t2 with
   | Some { cost; bindings_tried; exact; _ } ->
       check_int "single also 44 here" 44 cost;
@@ -326,12 +333,18 @@ let prop_brute_force_never_beats_exact =
 
 let qt = Gen.qt
 
-(* --- Pinned simplex pivot sequence ---
+(* --- Pinned outcomes and pinned work ---
 
-   Bland's rule over exact rationals makes every pivot deterministic, so
-   the simplex counter deltas of a fixed workload pin the pivot sequence:
-   a different pivot rule, or any changed arithmetic result, moves them.
-   The expected values were recorded on the dense-pivot simplex. *)
+   Each fixed workload has two pins. Its outcome digest (costs and
+   repaired tuples) says what the explanations answer, and must not move
+   when only the search or the solver gets cheaper. Its work pin says how
+   much work they take: the leaves the branch-and-bound search solves,
+   and the simplex counter deltas of those solves. Bland's rule over
+   exact rationals makes every pivot deterministic, so the deltas pin the
+   pivot sequence: a different pivot rule, any changed arithmetic result,
+   or a different set of leaves moves them. The work pins were recorded
+   on the search whose bound reads the closure's pairwise distances and
+   whose leaves solve the plain repair LP. *)
 
 let counter_deltas names f =
   let read () = List.map (fun n -> Option.value ~default:0 (Obs.find_counter n)) names in
@@ -342,23 +355,42 @@ let counter_deltas names f =
 let check_deltas names expected got =
   List.iter2 (fun (name, e) g -> check_int name e g) (List.combine names expected) got
 
+(* The outcome of a request as text: what it answers (cost and repaired
+   tuple), not how much work it took. *)
+let outcome_line o = Format.asprintf "%a" Explain.Pipeline.pp_outcome o
+let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let table1_p0 = p "SEQ(AND(E1, E3) WITHIN 30, AND(E2, E4) WITHIN 30) ATLEAST 2 hours"
+let table1_t2 = Tuple.of_list [ ("E1", 1026); ("E2", 1134); ("E3", 1044); ("E4", 1208) ]
+
+(* What the Table-1 explain answers: recorded on a search that still
+   re-solved its winning binding without an incumbent cutoff row. *)
+let test_outcome_digest_table1 () =
+  let o = Explain.Pipeline.explain [ table1_p0 ] table1_t2 in
+  Alcotest.(check string) "outcome digest" "74fd8cefd8119c7c1f0731e4ab039aee"
+    (digest_lines [ outcome_line o ])
+
+(* How much work the Table-1 explain takes: leaves solved and the pivot
+   sequence of their solves. *)
 let test_simplex_pin_table1 () =
-  let p0 = p "SEQ(AND(E1, E3) WITHIN 30, AND(E2, E4) WITHIN 30) ATLEAST 2 hours" in
-  let t2 = Tuple.of_list [ ("E1", 1026); ("E2", 1134); ("E3", 1044); ("E4", 1208) ] in
   let names =
     [ "simplex.pivots"; "simplex.phase1_iters"; "simplex.phase2_iters";
       "simplex.degenerate_pivots"; "simplex.solves"; "simplex.infeasible" ]
   in
-  let outcome, got = counter_deltas names (fun () -> Explain.Pipeline.explain [ p0 ] t2) in
+  let outcome, got =
+    counter_deltas names (fun () -> Explain.Pipeline.explain [ table1_p0 ] table1_t2)
+  in
   (match outcome with
-  | Explain.Pipeline.Modify_timestamps m -> check_int "cost 44" 44 m.cost
+  | Explain.Pipeline.Modify_timestamps m ->
+      check_int "cost 44" 44 m.cost;
+      check_int "leaves solved" 3 m.bindings_tried
   | _ -> Alcotest.fail "expected a timestamp modification");
-  check_deltas names [ 142; 125; 7; 96; 17; 13 ] got
+  check_deltas names [ 49; 26; 6; 42; 3; 0 ] got
 
 (* A seeded sample of the bench's explain mix: faulted RTFM cases and
    Flight days of 4 and 6 events, through [Pipeline.explain] at its
-   defaults. The digest covers every outcome and its bindings tried. *)
-let test_simplex_pin_sample () =
+   defaults. *)
+let sample_requests () =
   let prng = Numeric.Prng.create 13 in
   let rtfm =
     Datagen.Rtfm.generate prng ~tuples:100
@@ -366,30 +398,43 @@ let test_simplex_pin_sample () =
   in
   let f4 = Datagen.Flight.generate prng ~num_events:4 ~days:16 in
   let f6 = Datagen.Flight.generate prng ~num_events:6 ~days:3 in
-  let requests =
-    List.concat_map
-      (fun (ps, tr) -> List.map (fun (_, t) -> (ps, t)) (Events.Trace.bindings tr))
-      [ (Datagen.Rtfm.patterns, rtfm); ([ f4.pattern ], f4.observed);
-        ([ f6.pattern ], f6.observed) ]
+  List.concat_map
+    (fun (ps, tr) -> List.map (fun (_, t) -> (ps, t)) (Events.Trace.bindings tr))
+    [ (Datagen.Rtfm.patterns, rtfm); ([ f4.pattern ], f4.observed);
+      ([ f6.pattern ], f6.observed) ]
+
+(* What the sample's requests answer: every outcome's cost and repaired
+   tuple, recorded like the Table-1 digest. *)
+let test_outcome_digest_sample () =
+  let lines =
+    List.map
+      (fun (ps, t) -> outcome_line (Explain.Pipeline.explain ps t))
+      (sample_requests ())
   in
+  Alcotest.(check string) "outcome digest" "8aebdbca05f038554663028165c35bd8"
+    (digest_lines lines)
+
+(* How much work the sample takes: the leaves each request solved, and the
+   solves' pivots. *)
+let test_simplex_pin_sample () =
+  let requests = sample_requests () in
   let names = [ "simplex.pivots"; "simplex.solves" ] in
-  let digest, got =
+  let tried, got =
     counter_deltas names (fun () ->
-        let buf = Buffer.create 4096 in
-        List.iter
+        List.map
           (fun (ps, t) ->
-            let o = Explain.Pipeline.explain ps t in
-            Buffer.add_string buf (Format.asprintf "%a" Explain.Pipeline.pp_outcome o);
-            (match o with
-            | Explain.Pipeline.Modify_timestamps m ->
-                Buffer.add_string buf (Printf.sprintf " [%d]" m.bindings_tried)
-            | _ -> ());
-            Buffer.add_char buf '\n')
-          requests;
-        Digest.to_hex (Digest.string (Buffer.contents buf)))
+            match Explain.Pipeline.explain ps t with
+            | Explain.Pipeline.Modify_timestamps m -> Some m.bindings_tried
+            | _ -> None)
+          requests)
   in
-  check_deltas names [ 5533; 490 ] got;
-  Alcotest.(check string) "outcome digest" "0c618caf7e67d5fc1a67b5fd7aa69916" digest
+  check_deltas names [ 1429; 127 ] got;
+  check_int "leaves solved" 127
+    (List.fold_left (fun acc k -> acc + Option.value ~default:0 k) 0 tried);
+  Alcotest.(check string) "leaves solved per request"
+    "408c7c26ce15a382a6e97d5fdc6b4fca"
+    (digest_lines
+       (List.map (function Some k -> string_of_int k | None -> "-") tried))
 
 (* Weighted, bounded and cutoff repairs on a seeded RTFM and Flight
    sample: the first bindings of each request's network, each repaired
@@ -492,7 +537,10 @@ let suite =
       Alcotest.test_case "greedy fixes a simple violation" `Quick test_greedy_simple_fix;
       qt prop_greedy_reports_match_truthfully;
       qt prop_brute_force_never_beats_exact;
+      Alcotest.test_case "outcome digest: Table 1" `Quick test_outcome_digest_table1;
       Alcotest.test_case "simplex pivot pin: Table 1" `Quick test_simplex_pin_table1;
+      Alcotest.test_case "outcome digest: RTFM + Flight sample" `Quick
+        test_outcome_digest_sample;
       Alcotest.test_case "simplex pivot pin: RTFM + Flight sample" `Quick
         test_simplex_pin_sample;
       Alcotest.test_case "simplex pin: weighted, bounded and cutoff repairs" `Quick

@@ -441,6 +441,40 @@ let test_stale_suppression () =
   check_int "live suppression is not stale" 0 (List.length live.Engine.findings);
   check_int "live suppression recorded" 1 (List.length live.Engine.suppressed)
 
+(* Rule ids and aliases with a dash in them are whole tokens: only a dash
+   between blanks starts the reason, and the reason may hold dashes of its
+   own. Each annotated site must land in the suppressed bucket, leaving no
+   finding and no stale suppression behind. *)
+let test_hyphenated_tokens () =
+  let pinned = { config with Config.lock_order = [ "fixture.a"; "fixture.b" ] } in
+  let case ?(config = config) ?(filename = "lib/fixture.ml") name rule source =
+    let r = Engine.analyze_sources ~config [ (filename, source) ] in
+    let rules ds = List.map (fun d -> d.Diag.rule) ds in
+    check_int (name ^ ": no finding left") 0 (List.length r.Engine.findings);
+    check_int (name ^ ": suppressed") 1 (count rule (rules r.Engine.suppressed))
+  in
+  case "physical-eq" "poly-compare"
+    "let f a b = a == b (* check: physical-eq - fixture reason *)\n";
+  case "poly-compare" "poly-compare"
+    "let f x = x = Some 1 (* check: poly-compare - fixture reason *)\n";
+  case "exn-swallow" "exn-swallow"
+    "let f g = try g () with _ -> 0 (* check: exn-swallow - fixture reason *)\n";
+  case "no-stdout" "no-stdout"
+    "let f () = print_string \"hi\" (* check: no-stdout - fixture reason *)\n";
+  case ~filename:"lib/tcn/fixture.ml" "checked-arith" "checked-arith"
+    "let f a b = a + b (* check: checked-arith - fixture reason *)\n";
+  case ~config:pinned "lock-order" "lock-order"
+    "let a = Mutex.create ()\n\
+     let b = Mutex.create ()\n\
+     let g () = Mutex.lock b; Mutex.lock a; Mutex.unlock a; Mutex.unlock b \
+     (* check: lock-order - fixture reason *)\n";
+  case ~filename:"lib/tcn/fixture.ml" "hyphenated reason" "checked-arith"
+    "let f a b = a + b (* check: idx - a hand-checked, well-known sum *)\n";
+  case ~filename:"lib/tcn/fixture.ml" "two tokens, hyphenated reason"
+    "checked-arith"
+    "let f a b = a + b (* check: poly-compare, checked-arith - re-checked \
+     - twice *)\n"
+
 (* The real serving stack must stay clean under the lock rules, and its
    observed acquisition structure must stay what DESIGN.md documents: no
    acquisition nests inside another — a worker holds one shard lock at a
@@ -511,6 +545,8 @@ let suite =
         test_condition_discipline;
       Alcotest.test_case "stale-suppression fixtures" `Quick
         test_stale_suppression;
+      Alcotest.test_case "hyphenated suppression tokens" `Quick
+        test_hyphenated_tokens;
       Alcotest.test_case "real tree obeys the lock discipline" `Quick
         test_real_tree_lock_discipline;
       Alcotest.test_case "config.json pins the global lock order" `Quick

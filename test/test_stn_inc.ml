@@ -7,6 +7,17 @@ module Tuple = Events.Tuple
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* An event's window [(lo, hi)] ([None] = unbounded above), read off the
+   closure's origin column and row. *)
+let window inc e =
+  let evs = Stn_inc.events inc in
+  let n = Array.length evs in
+  let rec index i = if String.equal evs.(i) e then i else index (i + 1) in
+  let i = index 0 in
+  let hi = Stn_inc.distance inc n i in
+  ( Tcn.Weight.neg (Stn_inc.distance inc i n),
+    if hi >= Tcn.Weight.inf then None else Some hi )
+
 let test_push_pop_basic () =
   let inc = Stn_inc.create [ "A"; "B"; "C" ] in
   check_bool "fresh is consistent" true (Stn_inc.consistent inc);
@@ -161,9 +172,65 @@ let test_push_pop_stress () =
         (fun e ->
           Alcotest.(check (pair int (option int)))
             (Printf.sprintf "window of %s agrees at step %d" e step)
-            (Stn_inc.window fresh e) (Stn_inc.window inc e))
+            (window fresh e) (window inc e))
         events
   done
+
+(* The distance accessor reads the closure itself: after every push and
+   pop of a random interleaving, each entry, the origin's row and column
+   included, equals the Floyd–Warshall closure of [Stn] over the live
+   stack. [Stn]'s own origin is not an event, so an explicit one pinned at
+   0 (sorting after the E's, at index n like the incremental origin)
+   stands in for it. *)
+let test_distance_matches_batch () =
+  let st = Random.State.make [| 1312 |] in
+  let events = List.init 6 (fun i -> Printf.sprintf "E%d" i) in
+  let n = List.length events in
+  let origin = "O" in
+  let random_interval () =
+    let pick () = List.nth events (Random.State.int st n) in
+    let src = pick () in
+    let dst = ref (pick ()) in
+    while !dst = src do
+      dst := pick ()
+    done;
+    let lo = Random.State.int st 40 - 15 in
+    let hi =
+      if Random.State.bool st then Some (lo + Random.State.int st 30) else None
+    in
+    { Condition.src; dst = !dst; lo; hi }
+  in
+  let inc = Stn_inc.create events in
+  let stack = ref [] in
+  let compared = ref 0 in
+  for step = 1 to 300 do
+    (if (!stack = [] || Random.State.int st 3 > 0) && Stn_inc.consistent inc
+     then begin
+       let phi = random_interval () in
+       ignore (Stn_inc.push inc phi);
+       stack := phi :: !stack
+     end
+     else if !stack <> [] then begin
+       Stn_inc.pop inc;
+       stack := List.tl !stack
+     end);
+    if Stn_inc.consistent inc then begin
+      incr compared;
+      let batch =
+        Stn.of_intervals ~events ~absolute:[ (origin, 0, 0) ] (List.rev !stack)
+      in
+      let m = Stn.distance_matrix batch (Array.of_list (events @ [ origin ])) in
+      for i = 0 to n do
+        for j = 0 to n do
+          check_int
+            (Printf.sprintf "d(%d, %d) at step %d (depth %d)" i j step
+               (List.length !stack))
+            m.(i).(j) (Stn_inc.distance inc i j)
+        done
+      done
+    end
+  done;
+  check_bool "compared on most steps" true (!compared > 150)
 
 (* Closure windows are tight: pinning an event at either end of its window
    keeps the network (over the non-negative time domain) consistent, and
@@ -187,7 +254,7 @@ let prop_window_tight =
         in
         List.for_all
           (fun e ->
-            let lo, hi = Stn_inc.window inc e in
+            let lo, hi = window inc e in
             pinned e lo
             && (lo = 0 || not (pinned e (lo - 1)))
             && match hi with
@@ -201,7 +268,7 @@ let prop_window_tight =
    pop on any copy must leave the base (and every other copy) untouched. *)
 let test_copy_independent () =
   let events = [ "A"; "B"; "C"; "D" ] in
-  let windows inc = List.map (Stn_inc.window inc) events in
+  let windows inc = List.map (window inc) events in
   let base = Stn_inc.create events in
   ignore (Stn_inc.push base (Condition.interval ~lo:2 ~hi:10 "A" "B"));
   ignore (Stn_inc.push base (Condition.interval ~lo:1 ~hi:4 "B" "C"));
@@ -246,6 +313,8 @@ let suite =
       Alcotest.test_case "solution extraction" `Quick test_solution;
       Alcotest.test_case "push/pop stress interleavings" `Quick
         test_push_pop_stress;
+      Alcotest.test_case "distance = batch closure under push/pop" `Quick
+        test_distance_matches_batch;
       Alcotest.test_case "extreme bounds saturate" `Quick
         test_extreme_bounds_no_wrap;
       Gen.qt prop_matches_batch;

@@ -217,15 +217,26 @@ let test_jsonl_deterministic () =
 (* The Table-1 explain as `whynot explain` runs it (a consistency check,
    then the pipeline), pinned: the event count and the digest of its
    timings-stripped JSONL. Any change to which spans open, in what order
-   and under which parent shows up here. *)
+   and under which parent shows up here. The search solves 3 leaves and
+   cuts 4 subtrees by its bound; the trace of a search that threaded a
+   cutoff row into its leaves (207 events: 16 leaf solves and a final
+   re-solve) turns into this one by replacing each cut node's subtree
+   with one bnb.prune event and dropping the re-solve. *)
 let test_table1_trace_pinned () =
   with_tracer @@ fun () ->
   ignore (Explain.Consistency.check [ p0 ]);
   ignore
     (Explain.Pipeline.explain ~strategy:Explain.Modification.Full [ p0 ] t2);
   let events = T.events () in
-  check_int "Table-1 explain event count" 207 (List.length events);
-  check_str "Table-1 explain JSONL digest" "ebc0904c587c9054391d06e0c1abd453"
+  let count p = List.length (List.filter (fun (e : T.event) -> p e.kind) events) in
+  check_int "leaf solves" 3
+    (count (function
+      | T.Span_open { name; _ } -> String.equal name "simplex.solve"
+      | _ -> false));
+  check_int "bound prunes" 4
+    (count (function T.Bnb_prune { reason = Bound; _ } -> true | _ -> false));
+  check_int "Table-1 explain event count" 96 (List.length events);
+  check_str "Table-1 explain JSONL digest" "a222873a3d026f6e2008b0c4ea3a835e"
     (Digest.to_hex
        (Digest.string (Report.Trace_json.jsonl ~timings:false events)))
 
@@ -258,8 +269,8 @@ let test_table1_cached_trace_pinned () =
   in
   let uncached = run () in
   let cached = run () in
-  check_int "cached explain event count" 171 (List.length cached);
-  check_str "cached explain JSONL digest" "aba4da702476a835bef146fa86d5efce"
+  check_int "cached explain event count" 60 (List.length cached);
+  check_str "cached explain JSONL digest" "5e02781638872303f204f1af653257bf"
     (Digest.to_hex
        (Digest.string (Report.Trace_json.jsonl ~timings:false cached)));
   (* drop the consistency.check subtree, then Φ's pushes (the only pushes

@@ -34,6 +34,24 @@ type t = comment list
 
 let marker = "(* check:"
 
+(* The token part of an annotation body ends at the first dash with blanks
+   on both sides, which starts the optional reason. A dash inside a token
+   ([physical-eq], [lock-order]) is part of the token, and the reason may
+   hold dashes of its own. *)
+let token_part body =
+  let n = String.length body in
+  let blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
+  let rec find i =
+    if i >= n then body
+    else if
+      body.[i] = '-'
+      && (i = 0 || blank body.[i - 1])
+      && (i + 1 = n || blank body.[i + 1])
+    then String.sub body 0 i
+    else find (i + 1)
+  in
+  find 0
+
 (* A lexically-aware scan: the marker only counts as a suppression when it
    opens a comment in code position — occurrences inside string literals
    (e.g. the checker's own message templates) or nested inside an ordinary
@@ -100,7 +118,7 @@ let scan source : t =
     end
     else if at !i marker then begin
       (* extract tokens up to the closing "*)" or end of the token part
-         (an optional "- reason" tail is ignored) *)
+         (an optional " - reason" tail is ignored) *)
       let c_line = !line and c_start = !i and c_line_start = !line_start in
       let start = !i + String.length marker in
       let close = ref start in
@@ -110,12 +128,7 @@ let scan source : t =
         if source.[!close] = '\n' then newline !close;
         incr close
       done;
-      let body = String.sub source start (!close - start) in
-      let body =
-        match String.index_opt body '-' with
-        | Some dash -> String.sub body 0 dash
-        | None -> body
-      in
+      let body = token_part (String.sub source start (!close - start)) in
       let tokens =
         String.split_on_char ',' body
         |> List.map String.trim
