@@ -332,12 +332,6 @@ let ablations () =
 
 let counter_value name = Option.value ~default:0 (Obs.find_counter name)
 
-(* The parallel runs' metric deltas, one per n. Their domains share one
-   incumbent, so how much they prune depends on timing: the report lists
-   their counters under the section and subtracts them from the gated
-   metrics snapshot, which keeps two runs of one build comparable. *)
-let bnb_parallel : Obs.snapshot list ref = ref []
-
 let bnb () =
   let ns = pick ~quick:[ 4; 6 ] ~standard:[ 4; 6; 8; 10 ] ~paper:[ 4; 6; 8; 10; 12 ] in
   let tuples_per_n = pick ~quick:2 ~standard:8 ~paper:12 in
@@ -346,7 +340,7 @@ let bnb () =
     Explain.Modification.explain_network ~strategy:Explain.Modification.Full
       ~engine net t
   in
-  let total_flat = ref 0.0 and total_bnb = ref 0.0 and total_par = ref 0.0 in
+  let total_flat = ref 0.0 and total_bnb = ref 0.0 in
   let rows =
     List.map
       (fun n ->
@@ -368,18 +362,10 @@ let bnb () =
         in
         let flat_results, flat_dt = run Explain.Modification.Flat in
         let nodes0 = counter_value "bnb.nodes_expanded" in
-        let bnb_results, bnb_dt = run (Explain.Modification.Bnb { domains = 1 }) in
+        let bnb_results, bnb_dt = run Explain.Modification.Bnb in
         let nodes = counter_value "bnb.nodes_expanded" - nodes0 in
-        let before = Obs.snapshot () in
-        let par_results, par_dt =
-          run
-            (Explain.Modification.Bnb
-               { domains = Domain.recommended_domain_count () })
-        in
-        bnb_parallel :=
-          Report.Obs_json.snapshot_delta before (Obs.snapshot ()) :: !bnb_parallel;
         (* The whole point: same optimum, same repaired tuple, on every
-           instance, whichever engine and degree of parallelism. *)
+           instance. *)
         let same a b =
           List.iter2
             (fun a b ->
@@ -394,7 +380,6 @@ let bnb () =
             a b
         in
         same flat_results bnb_results;
-        same bnb_results par_results;
         let leaves =
           List.fold_left
             (fun acc r ->
@@ -406,7 +391,6 @@ let bnb () =
         in
         total_flat := !total_flat +. flat_dt;
         total_bnb := !total_bnb +. bnb_dt;
-        total_par := !total_par +. par_dt;
         [
           string_of_int n;
           string_of_int (count * tuples_per_n);
@@ -414,7 +398,6 @@ let bnb () =
           string_of_int leaves;
           E.Harness.ms flat_dt;
           E.Harness.ms bnb_dt;
-          E.Harness.ms par_dt;
           Printf.sprintf "%.1fx" (flat_dt /. bnb_dt);
         ])
       ns
@@ -423,19 +406,15 @@ let bnb () =
     ~title:
       (Printf.sprintf
          "Branch-and-bound vs flat Full sweep (fig11 family, %d faulted \
-          tuple(s) per n, %d core(s))"
-         tuples_per_n
-         (Domain.recommended_domain_count ()))
+          tuple(s) per n)"
+         tuples_per_n)
     ~header:
       [ "n"; "|Aleph_Gamma|"; "bnb nodes"; "bnb leaves"; "flat (ms)";
-        "bnb (ms)"; "bnb-par (ms)"; "speedup" ]
+        "bnb (ms)"; "speedup" ]
     rows;
   timings := ("bnb/flat-total", !total_flat) :: !timings;
   timings := ("bnb/serial-total", !total_bnb) :: !timings;
-  timings := ("bnb/parallel-total", !total_par) :: !timings;
-  Format.printf "bnb speedup over flat: %.2fx serial, %.2fx parallel@."
-    (!total_flat /. !total_bnb)
-    (!total_flat /. !total_par)
+  Format.printf "bnb speedup over flat: %.2fx@." (!total_flat /. !total_bnb)
 
 (* --- Bechamel micro-benchmarks: one Test.make per table/figure kernel --- *)
 
@@ -721,18 +700,11 @@ let scale_name () =
   | Paper -> "paper"
 
 (* Per-scenario wall-clock + the full metrics snapshot (key solver and
-   detector counters included), the perf trajectory's data points. The
-   bnb section's parallel runs are reported beside the snapshot, not in it. *)
+   detector counters included), the perf trajectory's data points. *)
 let write_report () =
   let open Report.Json in
   let metrics =
-    List.fold_left
-      (fun m par -> Report.Obs_json.snapshot_delta par m)
-      (match !metrics_before_trace with Some m -> m | None -> Obs.snapshot ())
-      !bnb_parallel
-  in
-  let nonzero_counters (d : Obs.snapshot) =
-    Obj (List.filter_map (fun (name, n) -> if n = 0 then None else Some (name, Int n)) d.counters)
+    match !metrics_before_trace with Some m -> m | None -> Obs.snapshot ()
   in
   let report =
     Obj
@@ -747,9 +719,6 @@ let write_report () =
                 !timings) );
          ("metrics", Report.Obs_json.render metrics);
        ]
-      @ (match !bnb_parallel with
-        | [] -> []
-        | ds -> [ ("bnb", Obj [ ("parallel_counters", List (List.rev_map nonzero_counters ds)) ]) ])
       @ (match !trace_overhead with
         | [] -> []
         | fields -> [ ("trace_overhead", Obj fields) ])

@@ -46,7 +46,7 @@ let map_tuples ?domains f trace =
   let bindings = Trace.bindings trace in
   parallel_map ~domains (fun (id, tuple) -> (id, f id tuple)) bindings
 
-let explain_trace ?domains ?strategy ?engine ?solver ?max_cost patterns trace =
+let explain_trace ?domains ?strategy ?max_cost patterns trace =
   (match Pattern.Ast.validate_set patterns with
   | Ok () -> ()
   | Error e -> invalid_arg (Format.asprintf "Bulk.explain_trace: %a" Pattern.Ast.pp_error e));
@@ -66,8 +66,7 @@ let explain_trace ?domains ?strategy ?engine ?solver ?max_cost patterns trace =
     if Pattern.Matcher.matches_set tuple patterns then tuple
     else
       match
-        Explain.Modification.explain_prepared ?strategy ?engine ?solver
-          prepared tuple
+        Explain.Modification.explain_prepared ?strategy prepared tuple
       with
       | Some { repaired; cost; _ } when within_budget cost ->
           Obs.incr repaired_c;

@@ -14,8 +14,6 @@
 val explain_trace :
   ?domains:int ->
   ?strategy:Explain.Modification.strategy ->
-  ?engine:Explain.Modification.engine ->
-  ?solver:Explain.Modification.solver ->
   ?max_cost:int ->
   Pattern.Ast.t list ->
   Events.Trace.t ->

@@ -36,7 +36,7 @@ let accuracy ~truth ~found =
 let pp_accuracy ppf { precision; recall; f_measure } =
   Format.fprintf ppf "p=%.3f r=%.3f f=%.3f" precision recall f_measure
 
-let explain_trace ?strategy ?engine ?solver ?max_cost patterns trace =
+let explain_trace ?strategy ?max_cost patterns trace =
   let prepared =
     Explain.Modification.prepare_network (Tcn.Encode.pattern_set patterns)
   in
@@ -48,8 +48,7 @@ let explain_trace ?strategy ?engine ?solver ?max_cost patterns trace =
       if Pattern.Matcher.matches_set tuple patterns then tuple
       else
         match
-          Explain.Modification.explain_prepared ?strategy ?engine ?solver
-            prepared tuple
+          Explain.Modification.explain_prepared ?strategy prepared tuple
         with
         | Some { repaired; cost; _ } when within_budget cost -> repaired
         | Some _ | None | (exception Invalid_argument _) -> tuple)

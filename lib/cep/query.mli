@@ -24,8 +24,6 @@ val pp_accuracy : Format.formatter -> accuracy -> unit
 
 val explain_trace :
   ?strategy:Explain.Modification.strategy ->
-  ?engine:Explain.Modification.engine ->
-  ?solver:Explain.Modification.solver ->
   ?max_cost:int ->
   Pattern.Ast.t list ->
   Events.Trace.t ->
@@ -36,4 +34,7 @@ val explain_trace :
     unchanged, as do tuples whose minimal repair costs more than
     [max_cost] — per the paper, an explanation that must "significantly
     modify the timestamps on a great many of events" does not apply. This
-    is the "query after explanation" pipeline of Figure 12. *)
+    is the "query after explanation" pipeline of Figure 12. Each repair
+    is {!Explain.Modification}'s at its defaults but for [strategy]
+    (default [Full]): the branch-and-bound search, solved by the
+    simplex. *)

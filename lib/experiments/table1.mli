@@ -6,8 +6,10 @@
     paper's optimum — Example 6) over the 16 bindings that Algorithm 2's
     sweep enumerates, and the branch-and-bound engine returns the same
     repair from fewer leaves; the special-case simple-network query of
-    Example 3 repairs t2 at the same cost with t2'(E4) = 19:24
-    (Example 5). *)
+    Example 3 repairs t2 at the same cost. Its repair moves E2 from 18:54
+    to 19:38 and keeps E4, where the paper's t2' of Example 5 moves only
+    E4, to 19:24: both match Example 3 at a cost of 44, two optima of the
+    same LP. *)
 
 type result = {
   t1_matches : bool;
@@ -21,8 +23,20 @@ type result = {
       (** branch-and-bound's cost and repaired tuple equal the sweep's *)
   single_cost : int;
   example3_cost : int;  (** expected 44 *)
-  example3_e4 : string;  (** expected "19:24" *)
+  example3_repaired : Events.Tuple.t;
+      (** the Example-3 repair of {!t2}: E2 moved from 18:54 to 19:38, E4
+          kept at 20:08 (another optimum than the paper's t2') *)
+  paper_t2'_cost : int option;
+      (** [Delta(t2, t2')] of the paper's Example-5 repair (only E4 moved,
+          to 19:24) if it matches {!example3}; expected [Some 44] *)
 }
+
+val t2 : Events.Tuple.t
+(** Table 1's tuple t2, which does not match p0. *)
+
+val example3 : Pattern.Ast.t
+(** Example 3's query, with both traced events later than the reported
+    passenger's. *)
 
 val run : unit -> result
 val print : result -> unit

@@ -27,19 +27,16 @@
     reaches the incumbent are pruned; so are subtrees in which some
     event's minimal forced move to its window already exceeds its
     plausibility bound. Each leaf solves the plain repair LP and keeps it
-    only when it is strictly cheaper than the incumbent, and the whole
-    search stops early once a zero-cost repair is found.
+    only when it is strictly cheaper than the incumbent. Once a leaf
+    repairs at cost 0, the rest of its top-level subtree is pushed and
+    pruned by the bound, and every later top-level subtree is skipped.
 
     The search returns {e exactly} what the flat sweep returns — the first
     binding (in {!Tcn.Bindings.full} enumeration order) attaining the
     minimum repair cost, solved by the same deterministic solver — and the
-    property tests assert bit-identical tuples. With [domains > 1],
-    top-level subtrees are distributed round-robin across that many
-    domains ({!Cep.Bulk}'s chunking pattern); each domain copies the
-    base closure once and results are merged in enumeration order, so
-    the outcome is deterministic regardless of scheduling (per-search
-    statistics and the [bnb.*] observability counters may vary with
-    timing, the result never does). *)
+    property tests assert bit-identical tuples. It is one serial search on
+    the calling domain, so its statistics and [bnb.*] counters are as
+    deterministic as its result. *)
 
 type stats = {
   nodes_expanded : int;
@@ -63,9 +60,8 @@ type prepared
 (** The part of a search that depends only on the network, not on the
     tuple, the weights or the bounds: the binding choice lists, the event
     universe and its index, and the base interval conditions Φ closed in
-    one {!Tcn.Stn_inc}. Every search, and every worker domain of a
-    parallel search, starts from its own {!Tcn.Stn_inc.copy} of that
-    closure instead of pushing Φ again.
+    one {!Tcn.Stn_inc}. Every search starts from its own
+    {!Tcn.Stn_inc.copy} of that closure instead of pushing Φ again.
 
     The closure is built at most once: by the first search, inside that
     search's [bnb.search] span and in its calling domain, or by {!close}.
@@ -82,12 +78,8 @@ val close : prepared -> unit
     the value across domains. *)
 
 val search_prepared :
-  ?domains:int ->
   repair:
-    (?cutoff:int ->
-    Events.Tuple.t ->
-    Tcn.Condition.interval list ->
-    Lp_repair.t option) ->
+    (Events.Tuple.t -> Tcn.Condition.interval list -> Lp_repair.t option) ->
   ?weights:(Events.Event.t -> int) ->
   ?bounds:(Events.Event.t -> int option) ->
   prepared ->
@@ -99,10 +91,7 @@ val search_prepared :
 val search :
   ?domains:int ->
   repair:
-    (?cutoff:int ->
-    Events.Tuple.t ->
-    Tcn.Condition.interval list ->
-    Lp_repair.t option) ->
+    (Events.Tuple.t -> Tcn.Condition.interval list -> Lp_repair.t option) ->
   ?weights:(Events.Event.t -> int) ->
   ?bounds:(Events.Event.t -> int option) ->
   Tcn.Encode.set ->
@@ -112,13 +101,14 @@ val search :
     [net.set_bindings]. [extended] must bind every event of the network
     (artificial included — pass the result of {!Tcn.Encode.extend}).
     [repair] is the leaf solver, typically {!Lp_repair.repair} or
-    {!Flow_repair.repair} partially applied; the search never passes
-    [?cutoff] (the parameter is in the type so those solvers fit it as
-    they are), so every leaf solves the same plain model the flat sweep
-    solves. [weights] and
-    [bounds] must be the same functions given to the solver — the lower
-    bound uses them, and admissibility depends on the agreement.
-    [domains] (default 1) caps the number of OCaml domains used. Uncached:
-    [prepare], then {!search_prepared}.
-    @raise Invalid_argument on [domains < 1], a negative weight or a
+    {!Flow_repair.repair} partially applied, and every leaf solves the
+    same plain model the flat sweep solves. [weights] and [bounds] must be
+    the same functions given to the solver — the lower bound uses them,
+    and admissibility depends on the agreement. Uncached: [prepare], then
+    {!search_prepared}.
+
+    [domains] must be 1 (the default): the search is serial, and the
+    option stays only because the repository's benchmark passes
+    [~domains:1].
+    @raise Invalid_argument on [domains <> 1], a negative weight or a
     negative bound. *)

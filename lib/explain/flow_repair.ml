@@ -135,9 +135,7 @@ let repair_exn ?weights ?(bounds = fun _ -> None) tuple intervals =
   if cost <> -neg_cost then raise Inconsistent_potentials;
   { Lp_repair.repaired; cost; integral_relaxation = true }
 
-let repair ?weights ?bounds ?cutoff tuple intervals =
-  if (match cutoff with Some c -> c <= 0 | None -> false) then None
-  else
+let repair ?weights ?bounds tuple intervals =
   let absolute =
     match bounds with
     | None -> []
@@ -157,18 +155,10 @@ let repair ?weights ?bounds ?cutoff tuple intervals =
   let stn = Tcn.Stn.of_intervals ~absolute intervals in
   if not (Tcn.Stn.consistent stn) then None
   else
-    let apply_cutoff result =
-      (* The circulation has no budget row, so the cutoff is enforced on
-         the computed optimum: a repair at or above the incumbent is as
-         useless as an infeasible one. *)
-      match (cutoff, result) with
-      | Some c, Some { Lp_repair.cost; _ } when cost >= c -> None
-      | _ -> result
-    in
     match repair_exn ?weights ?bounds tuple intervals with
-    | result -> apply_cutoff (Some result)
+    | result -> Some result
     | exception Inconsistent_potentials ->
         (* Defensive: fall back to the simplex route rather than return a
            wrong optimum. Exercised never in tests; kept for safety. *)
         Log.warn (fun m -> m "potential recovery failed; falling back to simplex");
-        apply_cutoff (Lp_repair.repair ?weights ?bounds tuple intervals)
+        Lp_repair.repair ?weights ?bounds tuple intervals

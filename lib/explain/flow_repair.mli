@@ -16,10 +16,9 @@
 val repair :
   ?weights:(Events.Event.t -> int) ->
   ?bounds:(Events.Event.t -> int option) ->
-  ?cutoff:int ->
   Events.Tuple.t ->
   Tcn.Condition.interval list ->
   Lp_repair.t option
-(** Same contract as {!Lp_repair.repair}, weights and incumbent [cutoff]
+(** Same contract as {!Lp_repair.repair} without its [cutoff], weights
     included (the [integral_relaxation] field is always [true]: flows are
     integral by construction). *)

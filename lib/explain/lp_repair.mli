@@ -38,9 +38,12 @@ val repair :
     repair infeasible ([None] result). [cutoff] is an incumbent: only
     repairs of cost strictly below it are wanted, so any instance whose
     optimum is [>= cutoff] returns [None] (implemented as a budget
-    constraint of [cutoff - 1]; costs are integral). {!Bnb} does not pass
-    it: the budget row is dense, breaks the difference system's total
-    unimodularity (it is where the tableau takes fractions), and its
-    leaves solve faster without it.
+    constraint of [cutoff - 1]; costs are integral). No caller in the
+    library passes it, and {!Bnb}'s leaf solver type has no room for it:
+    the budget row is dense, breaks the difference system's total
+    unimodularity (it is where the tableau takes fractions), and leaves
+    solve faster without it. It stays because the repository's benchmark
+    forwards it from its own repair wrapper, and the test "simplex pin:
+    weighted, bounded and cutoff repairs" reads it.
     @raise Not_found if an event of the conditions is unbound.
     @raise Invalid_argument on a negative weight or bound. *)

@@ -2,7 +2,7 @@ module Event = Events.Event
 module Tuple = Events.Tuple
 
 type strategy = Full | Single | Sampled of int
-type engine = Flat | Bnb of { domains : int }
+type engine = Flat | Bnb
 type solver = Lp | Flow
 
 type result = {
@@ -18,10 +18,10 @@ let found_c = Obs.counter "modification.outcome.found"
 let none_c = Obs.counter "modification.outcome.none"
 let cost_h = Obs.histogram "modification.cost"
 
-let repair_of solver ?weights ?bounds =
+let repair_of solver ?weights ?bounds tuple intervals =
   match solver with
-  | Lp -> Lp_repair.repair ?weights ?bounds
-  | Flow -> Flow_repair.repair ?weights ?bounds
+  | Lp -> Lp_repair.repair ?weights ?bounds tuple intervals
+  | Flow -> Flow_repair.repair ?weights ?bounds tuple intervals
 
 let strip_artificial tuple =
   Tuple.fold
@@ -54,7 +54,7 @@ let prepare patterns =
 
 let close p = Bnb.close (Lazy.force p.bnb)
 
-let run ?(strategy = Full) ?(engine = Bnb { domains = 1 }) ?(solver = Lp)
+let run ?(strategy = Full) ?(engine = Bnb) ?(solver = Lp)
     ?(seed = 0) ?weights ?bounds p tuple =
   let net = p.net in
   let repair = repair_of solver ?weights ?bounds in
@@ -76,9 +76,9 @@ let run ?(strategy = Full) ?(engine = Bnb { domains = 1 }) ?(solver = Lp)
         Some { repaired; cost; bindings_tried = tried; exact }
   in
   match (strategy, engine) with
-  | Full, Bnb { domains } ->
+  | Full, Bnb ->
       let { Bnb.best; stats } =
-        Bnb.search_prepared ~domains ~repair ?weights ?bounds
+        Bnb.search_prepared ~repair ?weights ?bounds
           (Lazy.force p.bnb) extended
       in
       finish best stats.Bnb.leaves_solved true

@@ -23,14 +23,14 @@
 
 type strategy = Full | Single | Sampled of int
 
-type engine = Flat | Bnb of { domains : int }
+type engine = Flat | Bnb
 (** How the [Full] strategy explores [Aleph_Gamma]. [Flat] is the textbook
-    sweep: every binding, one Floyd–Warshall closure plus one solve each.
-    [Bnb] is the branch-and-bound search of {!Bnb} over an incremental
-    closure with cost-bound pruning — same result, bit-identical, usually
-    far fewer solves; [domains > 1] additionally spreads top-level subtrees
-    over that many OCaml domains. The default is [Bnb { domains = 1 }].
-    [Single] and [Sampled] have no binding tree; they ignore [engine]. *)
+    sweep of Algorithm 2: every binding, one Floyd–Warshall closure plus
+    one solve each; it is the tests' reference and Table 1's count of
+    bindings. [Bnb], the default, is the branch-and-bound search of
+    {!Bnb} over an incremental closure with cost-bound pruning — same
+    result, bit-identical, usually far fewer solves. [Single] and
+    [Sampled] have no binding tree; they ignore [engine]. *)
 
 type solver = Lp | Flow
 

@@ -61,7 +61,7 @@ let prepare patterns =
     modification = lazy (Modification.prepare patterns);
   }
 
-let explain_inner ?strategy ?engine ?solver ?max_cost p tuple =
+let explain_inner ?strategy ?solver ?max_cost p tuple =
   let patterns = p.patterns in
   if Pattern.Matcher.matches_set tuple patterns then Already_answer
   else
@@ -71,7 +71,7 @@ let explain_inner ?strategy ?engine ?solver ?max_cost p tuple =
     if not consistency.Consistency.consistent then Inconsistent_query consistency
     else
       let modification =
-        Modification.explain_prepared ?strategy ?engine ?solver
+        Modification.explain_prepared ?strategy ?solver
           (Lazy.force p.modification) tuple
       in
       let within_budget cost =
@@ -92,7 +92,7 @@ let explain_inner ?strategy ?engine ?solver ?max_cost p tuple =
               | Ok qr -> Modify_query qr
               | Error _ -> No_explanation))
 
-let explain_prepared ?strategy ?engine ?solver ?max_cost p tuple =
+let explain_prepared ?strategy ?solver ?max_cost p tuple =
   Obs.incr explains_c;
   let outcome =
     (* The pipeline is the outermost layer, so this is usually the call
@@ -101,7 +101,7 @@ let explain_prepared ?strategy ?engine ?solver ?max_cost p tuple =
        the trace root is its only [pipeline.explain] span. *)
     Obs.time explain_s (fun () ->
         Obs.Trace.with_trace "pipeline.explain" (fun () ->
-            explain_inner ?strategy ?engine ?solver ?max_cost p tuple))
+            explain_inner ?strategy ?solver ?max_cost p tuple))
   in
   Obs.incr (outcome_counter outcome);
   outcome
@@ -130,5 +130,5 @@ let cached patterns =
   recent := p :: List.filteri (fun i _ -> i < capacity - 1) rest;
   p
 
-let explain ?strategy ?engine ?solver ?max_cost patterns tuple =
-  explain_prepared ?strategy ?engine ?solver ?max_cost (cached patterns) tuple
+let explain ?strategy ?solver ?max_cost patterns tuple =
+  explain_prepared ?strategy ?solver ?max_cost (cached patterns) tuple

@@ -42,20 +42,23 @@ val prepare : Pattern.Ast.t list -> prepared
 
 val explain_prepared :
   ?strategy:Modification.strategy ->
-  ?engine:Modification.engine ->
   ?solver:Modification.solver ->
   ?max_cost:int ->
   prepared ->
   Events.Tuple.t ->
   outcome
-(** Figure 3 on one tuple against a prepared query. *)
+(** Figure 3 on one tuple against a prepared query. The [Full] strategy
+    (the default) runs the branch-and-bound search; the flat sweep is
+    reached only through {!Modification}'s [~engine:Flat]. [solver]
+    (default [Lp]) is forwarded from {!explain}: no production caller
+    sets it, and it stays because the repository's benchmark checks the
+    simplex's optimum against the min-cost flow's through it. *)
 
 val capacity : int
 (** 8: how many prepared queries {!explain} keeps per domain. *)
 
 val explain :
   ?strategy:Modification.strategy ->
-  ?engine:Modification.engine ->
   ?solver:Modification.solver ->
   ?max_cost:int ->
   Pattern.Ast.t list ->

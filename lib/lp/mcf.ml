@@ -10,7 +10,6 @@ type t = {
 type edge = int (* index of the forward arc; reverse is [edge lxor 1] *)
 
 let create n = { n; to_ = [||]; cap = [||]; cost = [||]; from_ = [||]; m = 0 }
-let num_nodes g = g.n
 
 let grow g =
   let cap_now = Array.length g.to_ in

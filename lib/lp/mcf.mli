@@ -15,8 +15,6 @@ type edge
 val create : int -> t
 (** [create n] is an empty graph over nodes [0 .. n-1]. *)
 
-val num_nodes : t -> int
-
 val add_edge : t -> src:int -> dst:int -> cap:int -> cost:int -> edge
 (** Directed edge with capacity [cap >= 0] and per-unit cost. *)
 

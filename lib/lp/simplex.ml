@@ -33,8 +33,6 @@ let add_var m =
   m.nvars <- v + 1;
   v
 
-let num_vars m = m.nvars
-
 let add_constraint m terms sense rhs =
   List.iter
     (fun (_, v) ->

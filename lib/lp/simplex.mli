@@ -39,8 +39,6 @@ val copy : model -> model
 val add_var : model -> var
 (** Fresh non-negative variable. *)
 
-val num_vars : model -> int
-
 val add_constraint : model -> (Numeric.Rat.t * var) list -> sense -> Numeric.Rat.t -> unit
 (** [add_constraint m terms sense rhs] adds [sum terms (sense) rhs]. Terms
     may repeat a variable; coefficients are summed. *)

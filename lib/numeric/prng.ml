@@ -41,5 +41,3 @@ let shuffle g a =
 let choose g a =
   if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
   a.(int g (Array.length a))
-
-let split g = { state = next64 g }

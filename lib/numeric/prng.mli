@@ -37,6 +37,3 @@ val shuffle : t -> 'a array -> unit
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. @raise Invalid_argument on empty. *)
-
-val split : t -> t
-(** A statistically independent generator derived from [t]'s stream. *)

@@ -412,9 +412,8 @@ module Trace = struct
   let sampling () = Atomic.get sample_every
   let capacity () = Array.length (Atomic.get ring)
 
-  (* Number of live capture scopes process-wide (with_capture plus
-     adopted worker contexts). Lets the fully-disabled [should_emit]
-     path stay two atomic loads with no DLS access. *)
+  (* Number of live capture scopes process-wide. Lets the fully-disabled
+     [should_emit] path stay two atomic loads with no DLS access. *)
   let captures_live = Atomic.make 0
 
   (* The hot-path guard: with tracing off and no capture in flight, two
@@ -472,9 +471,9 @@ module Trace = struct
     end
 
   (* Run [f] at another trace position, restoring the caller's on exit
-     (also when [f] raises): the one save/restore behind [with_trace],
-     [with_capture] and [with_context]. A position with a capture buffer
-     counts as a live capture while it lasts. *)
+     (also when [f] raises): the one save/restore behind [with_trace] and
+     [with_capture]. A position with a capture buffer counts as a live
+     capture while it lasts. *)
   let at_position ~in_trace ~active ~trace ~span ~buf f =
     let c = ctx () in
     let i = c.c_in_trace and a = c.c_active and t = c.c_trace in
@@ -517,27 +516,6 @@ module Trace = struct
     let trace, active = next_trace () in
     at_position ~in_trace:true ~active ~trace ~span:0 ~buf:(Some buf) (fun () ->
         in_span name f)
-
-  type context = {
-    x_active : bool;
-    x_trace : int;
-    x_span : int;
-    x_buf : buffer option;
-  }
-
-  let context () =
-    let c = ctx () in
-    {
-      x_active = c.c_active && Atomic.get enabled;
-      x_trace = c.c_trace;
-      x_span = c.c_span;
-      x_buf = c.c_buf;
-    }
-
-  let with_context x f =
-    at_position
-      ~in_trace:(x.x_trace > 0)
-      ~active:x.x_active ~trace:x.x_trace ~span:x.x_span ~buf:x.x_buf f
 
   let emitted () = Atomic.get cursor
   let dropped () = Atomic.get dropped_n
@@ -1178,7 +1156,6 @@ module Request = struct
     | None -> Atomic.set capture_on true
 
   let disable () = Atomic.set capture_on false
-  let capture_enabled () = Atomic.get capture_on
   let threshold_us () = Atomic.get threshold_us_a
 
   let capacity () =

@@ -250,19 +250,6 @@ module Trace : sig
       trace — they open a child span of the enclosing one, so
       instrumented layers compose safely. Exception-safe. *)
 
-  (** {1 Cross-domain propagation} *)
-
-  type context
-
-  val context : unit -> context
-  (** Capture the calling domain's trace position (trace id, span,
-      active flag, capture buffer) — e.g. before [Domain.spawn]. *)
-
-  val with_context : context -> (unit -> 'a) -> 'a
-  (** Run [f] inside the captured position, so a worker domain's spans
-      and events join the spawning trace's tree (and its capture
-      buffer, if one is attached). *)
-
   (** {1 Per-request capture buffers}
 
       A buffer collects one scope's events privately — independent of
@@ -280,8 +267,7 @@ module Trace : sig
   val buffer : ?limit:int -> unit -> buffer
   (** A fresh bounded buffer ([limit] defaults to
       {!default_buffer_limit}); appends past the limit are dropped and
-      counted. Domain-safe: shard workers append concurrently via an
-      adopted {!context}. @raise Invalid_argument if [limit < 1]. *)
+      counted. @raise Invalid_argument if [limit < 1]. *)
 
   val with_capture : buffer -> string -> (unit -> 'a) -> 'a
   (** [with_capture buf name f] runs [f] as a new top-level trace scope
@@ -291,8 +277,7 @@ module Trace : sig
       restores the caller's context on exit. *)
 
   val buffer_events : buffer -> event list
-  (** Events in emission order. Call after the capture scope has closed
-      and worker domains have completed their adopted sections. *)
+  (** Events in emission order. Call after the capture scope has closed. *)
 
   val buffer_dropped : buffer -> int
   (** Events lost to the buffer's limit. *)
@@ -352,7 +337,7 @@ module Log : sig
 
   val set_sink : (string -> unit) -> unit
   (** Redirect log output, e.g. to a [Buffer] in tests or a file in a
-      deployment. {!Report.Sink.set_log} is an alias. *)
+      deployment. *)
 
   val reset_sink : unit -> unit
   (** Restore the default stderr output. *)
@@ -492,8 +477,8 @@ end
     {!with_scope} wraps one HTTP request turn. It mints a request id,
     and — when capture is enabled via {!configure} — runs the turn
     inside a {!Trace.with_capture} scope so every span and event the
-    request touches (including shard workers that adopt the request's
-    {!Trace.context}) lands in a private per-request buffer. When the
+    request touches (the worker feeds its own batch to the shards, on
+    its own domain) lands in a private per-request buffer. When the
     scope closes, an access-log line is emitted ({!Log} event
     [serve.access]), and the request is retained in a bounded ring if
     it was slow (service + write time over {!threshold_us}), shed, or
@@ -512,7 +497,6 @@ module Request : sig
       @raise Invalid_argument if [threshold_us < 0]. *)
 
   val disable : unit -> unit
-  val capture_enabled : unit -> bool
   val threshold_us : unit -> int
   val capacity : unit -> int
   val default_capacity : int

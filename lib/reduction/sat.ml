@@ -5,21 +5,6 @@ type literal = { var : int; positive : bool }
 type clause = literal list
 type formula = { num_vars : int; clauses : clause list }
 
-let pp_literal ppf { var; positive } =
-  Format.fprintf ppf "%sx%d" (if positive then "" else "!") var
-
-let pp_formula ppf { clauses; _ } =
-  let pp_clause ppf c =
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
-         pp_literal)
-      c
-  in
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ")
-    pp_clause ppf clauses
-
 let eval assignment { clauses; _ } =
   List.for_all
     (List.exists (fun { var; positive } -> assignment.(var) = positive))

@@ -14,8 +14,6 @@ type literal = { var : int; positive : bool }
 type clause = literal list
 type formula = { num_vars : int; clauses : clause list }
 
-val pp_formula : Format.formatter -> formula -> unit
-
 val eval : bool array -> formula -> bool
 (** Evaluate under an assignment (indexed by variable). *)
 

@@ -62,52 +62,6 @@ let query_repair (r : Explain.Query_repair.t) =
              r.changes) );
     ]
 
-let topk ~original (r : Explain.Topk.t) =
-  Json.Obj
-    [
-      ("bindings_tried", Json.Int r.bindings_tried);
-      ( "candidates",
-        Json.List
-          (List.map
-             (fun (c : Explain.Topk.candidate) ->
-               Json.Obj
-                 [
-                   ("cost", Json.Int c.cost);
-                   ("changes", diff ~before:original ~after:c.repaired);
-                 ])
-             r.candidates) );
-      ( "blame",
-        Json.List
-          (List.map
-             (fun (b : Explain.Topk.blame) ->
-               Json.Obj
-                 [
-                   ("event", Json.String b.event);
-                   ("frequency", Json.Float b.frequency);
-                   ("mean_shift", Json.Float b.mean_shift);
-                 ])
-             r.blames) );
-    ]
-
-let matcher_failure = function
-  | Pattern.Matcher.Missing_event e ->
-      Json.Obj [ ("kind", Json.String "missing_event"); ("event", Json.String e) ]
-  | Pattern.Matcher.Order_violation (a, b) ->
-      Json.Obj
-        [
-          ("kind", Json.String "order_violation");
-          ("first", Json.String (Pattern.Ast.to_string a));
-          ("second", Json.String (Pattern.Ast.to_string b));
-        ]
-  | Pattern.Matcher.Window_violation (p, { start; stop }) ->
-      Json.Obj
-        [
-          ("kind", Json.String "window_violation");
-          ("pattern", Json.String (Pattern.Ast.to_string p));
-          ("start", Json.Int start);
-          ("stop", Json.Int stop);
-        ]
-
 let pipeline ~original = function
   | Explain.Pipeline.Already_answer ->
       Json.Obj [ ("outcome", Json.String "already_answer") ]

@@ -12,7 +12,5 @@ val diff : before:Events.Tuple.t -> after:Events.Tuple.t -> Json.t
 val consistency : Explain.Consistency.report -> Json.t
 val modification : original:Events.Tuple.t -> Explain.Modification.result -> Json.t
 val query_repair : Explain.Query_repair.t -> Json.t
-val topk : original:Events.Tuple.t -> Explain.Topk.t -> Json.t
 val pipeline : original:Events.Tuple.t -> Explain.Pipeline.outcome -> Json.t
 val diagnose : Explain.Diagnose.t -> Json.t
-val matcher_failure : Pattern.Matcher.failure -> Json.t

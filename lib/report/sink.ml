@@ -9,5 +9,3 @@ let reset () = out := print_string
    (Obs cannot depend on Report without a module cycle); this is the
    embedder-facing surface for it. *)
 let log = Obs.Log.write
-let set_log = Obs.Log.set_sink
-let reset_log = Obs.Log.reset_sink

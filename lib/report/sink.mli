@@ -19,10 +19,3 @@ val reset : unit -> unit
 val log : string -> unit
 (** Write one structured log line through the log channel (default:
     stderr, flushed per line). *)
-
-val set_log : (string -> unit) -> unit
-(** Redirect the log channel, e.g. to a [Buffer] in tests or a file in a
-    deployment. *)
-
-val reset_log : unit -> unit
-(** Restore the default stderr log channel. *)

@@ -2,11 +2,6 @@ module T = Obs.Trace
 
 type format = Jsonl | Chrome | Folded
 
-let format_name = function
-  | Jsonl -> "jsonl"
-  | Chrome -> "chrome"
-  | Folded -> "folded"
-
 let format_of_string = function
   | "jsonl" -> Some Jsonl
   | "chrome" -> Some Chrome

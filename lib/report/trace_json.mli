@@ -16,7 +16,6 @@
 
 type format = Jsonl | Chrome | Folded
 
-val format_name : format -> string
 val format_of_string : string -> format option
 
 val jsonl : ?timings:bool -> Obs.Trace.event list -> string

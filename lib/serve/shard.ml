@@ -59,7 +59,6 @@ type outcome =
   | Processed of (Cep.Detector.match_ list, string) result array
   | Shed
 
-let shard_count t = Array.length t.shards
 let queue_capacity t = t.capacity
 
 (* The keyless stream pins to shard 0 (not hash "") so single-detector

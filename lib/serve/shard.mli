@@ -80,8 +80,6 @@ val submit : t -> (string * Cep.Detector.instance) array -> outcome
     (e.g. a decreasing timestamp within a key's stream) does not abort
     the batch. An empty batch is [Processed] without admission. *)
 
-val shard_count : t -> int
-
 val queue_capacity : t -> int
 
 val shard_of_key : t -> string -> int

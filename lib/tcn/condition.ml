@@ -54,9 +54,3 @@ let binding_events gammas =
 let pp_interval ppf { src; dst; lo; hi } =
   Format.fprintf ppf "phi(%a, %a):[%d, %s]" Event.pp src Event.pp dst lo
     (match hi with None -> "w" | Some hi -> string_of_int hi)
-
-let pp_binding ppf { bound; over; kind } =
-  Format.fprintf ppf "gamma(%a, {%a}):%s" Event.pp bound
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Event.pp)
-    over
-    (match kind with Min -> "min" | Max -> "max")

@@ -42,4 +42,3 @@ val interval_events : interval list -> Events.Event.Set.t
 val binding_events : binding list -> Events.Event.Set.t
 
 val pp_interval : Format.formatter -> interval -> unit
-val pp_binding : Format.formatter -> binding -> unit

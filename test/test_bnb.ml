@@ -33,7 +33,7 @@ let prop_bnb_equals_flat =
     (fun (pat, t) ->
       equal_result
         (explain Modification.Flat pat t)
-        (explain (Modification.Bnb { domains = 1 }) pat t))
+        (explain Modification.Bnb pat t))
 
 let prop_bnb_equals_flat_weighted =
   QCheck.Test.make ~name:"BnB = flat under per-event weights" ~count:100
@@ -41,7 +41,7 @@ let prop_bnb_equals_flat_weighted =
     (fun (pat, t) ->
       equal_result
         (explain Modification.Flat ~weights:some_weights pat t)
-        (explain (Modification.Bnb { domains = 1 }) ~weights:some_weights pat t))
+        (explain Modification.Bnb ~weights:some_weights pat t))
 
 let prop_bnb_equals_flat_bounded =
   QCheck.Test.make ~name:"BnB = flat under plausibility bounds" ~count:100
@@ -49,7 +49,7 @@ let prop_bnb_equals_flat_bounded =
     (fun (pat, t) ->
       equal_result
         (explain Modification.Flat ~bounds:some_bounds pat t)
-        (explain (Modification.Bnb { domains = 1 }) ~bounds:some_bounds pat t))
+        (explain Modification.Bnb ~bounds:some_bounds pat t))
 
 let prop_bnb_equals_flat_flow =
   QCheck.Test.make ~name:"BnB = flat with the flow solver" ~count:100
@@ -57,16 +57,8 @@ let prop_bnb_equals_flat_flow =
     (fun (pat, t) ->
       equal_result
         (explain Modification.Flat ~solver:Modification.Flow pat t)
-        (explain (Modification.Bnb { domains = 1 }) ~solver:Modification.Flow
+        (explain Modification.Bnb ~solver:Modification.Flow
            pat t))
-
-let prop_parallel_equals_serial =
-  QCheck.Test.make ~name:"parallel BnB = serial BnB" ~count:80
-    (Gen.pattern_and_tuple ~horizon:120 ())
-    (fun (pat, t) ->
-      equal_result
-        (explain (Modification.Bnb { domains = 1 }) pat t)
-        (explain (Modification.Bnb { domains = 3 }) pat t))
 
 (* Wider and nested ANDs, where the binding space is large enough for the
    bound to cut: fig11's AND(E1..En) for n = 4..6 (n^2 bindings), an AND
@@ -131,7 +123,7 @@ let test_bound_nested_ands () =
         in
         let flat = explain Modification.Flat ?weights ?bounds pat t in
         let before = counter "bnb.pruned_bound" in
-        let bnb = explain (Modification.Bnb { domains = 1 }) ?weights ?bounds pat t in
+        let bnb = explain Modification.Bnb ?weights ?bounds pat t in
         pruned := !pruned + counter "bnb.pruned_bound" - before;
         equal_result flat bnb)
   in
@@ -144,7 +136,7 @@ let test_paper_example () =
     Tuple.of_list [ ("E1", 1026); ("E2", 1134); ("E3", 1044); ("E4", 1208) ]
   in
   let flat = explain Modification.Flat p0 t2 in
-  let bnb = explain (Modification.Bnb { domains = 1 }) p0 t2 in
+  let bnb = explain Modification.Bnb p0 t2 in
   check_bool "identical to the flat sweep" true (equal_result flat bnb);
   match (flat, bnb) with
   | Some f, Some b ->
@@ -165,7 +157,7 @@ let test_bnb_prunes () =
       (Datagen.Workloads.random_matching_tuple ~horizon:5000 prng [ pat ])
   in
   match
-    (explain Modification.Flat pat t, explain (Modification.Bnb { domains = 1 }) pat t)
+    (explain Modification.Flat pat t, explain Modification.Bnb pat t)
   with
   | Some f, Some b ->
       check_bool "same optimum" true (equal_result (Some f) (Some b));
@@ -177,20 +169,77 @@ let test_bnb_prunes () =
 let test_zero_cost_short_circuit () =
   let pat = p "SEQ(E1, E2) WITHIN 10" in
   let t = Tuple.of_list [ ("E1", 0); ("E2", 5) ] in
-  match explain (Modification.Bnb { domains = 1 }) pat t with
+  match explain Modification.Bnb pat t with
   | Some { cost; repaired; _ } ->
       check_int "already an answer: cost 0" 0 cost;
       check_bool "tuple unchanged" true (Tuple.equal t repaired)
   | None -> Alcotest.fail "expected a zero-cost repair"
 
+(* The zero-cost stop, pinned as work. [Pipeline.explain] returns
+   [Already_answer] for an answer before any search, so this drives
+   [Modification.explain] directly: answers of fig11 (n = 4, 6) and
+   fig10 (n = 6), every other one lightly faulted. Once a leaf of some top-level subtree repairs at
+   cost 0, that subtree's remaining siblings are still pushed and pruned
+   by the bound, and every later top-level subtree is skipped unpushed:
+   skipping the siblings too, or not skipping the later subtrees, moves
+   the pushes and the bound prunes. *)
+let test_zero_stop_pin () =
+  let prng = Numeric.Prng.create 5 in
+  let requests =
+    List.concat_map
+      (fun pat ->
+        List.init 20 (fun i ->
+            let t =
+              Datagen.Workloads.random_matching_tuple ~horizon:5000 prng [ pat ]
+            in
+            let t =
+              if i mod 2 = 1 then
+                Datagen.Faults.tuple prng ~rate:0.25 ~distance:20 t
+              else t
+            in
+            (pat, t)))
+      [ Datagen.Workloads.fig11_pattern ~n:4; Datagen.Workloads.fig11_pattern ~n:6;
+        Datagen.Workloads.fig10_pattern ~n:6 ]
+  in
+  let names =
+    [ "bnb.searches"; "bnb.zero_stops"; "bnb.nodes_expanded"; "bnb.leaves_solved";
+      "bnb.pruned_bound"; "bnb.pruned_inconsistent"; "stn_inc.pushes";
+      "simplex.pivots" ]
+  in
+  let before = List.map counter names in
+  let outcomes =
+    List.map
+      (fun (pat, t) ->
+        match Modification.explain ~strategy:Modification.Full [ pat ] t with
+        | None -> "none"
+        | Some { Modification.cost; repaired; _ } ->
+            Format.asprintf "%d %a" cost Tuple.pp repaired)
+      requests
+  in
+  let got = List.map2 (fun n b -> (n, counter n - b)) names before in
+  Alcotest.(check (list (pair string int)))
+    "work deltas"
+    (List.combine names [ 60; 51; 230; 135; 241; 67; 1158; 1722 ])
+    got;
+  Alcotest.(check string) "outcome digest" "83a4bd766558fa95f8ff61d7d3aef9d0"
+    (Digest.to_hex (Digest.string (String.concat "\n" outcomes)))
+
+(* The search is serial: [Bnb.search] keeps [?domains] for the one caller
+   that passes [~domains:1], and rejects every other count. *)
 let test_invalid_domains () =
-  let pat = p "SEQ(E1, E2) WITHIN 10" in
-  let t = Tuple.of_list [ ("E1", 0); ("E2", 5) ] in
-  check_bool "domains < 1 rejected" true
-    (try
-       ignore (explain (Modification.Bnb { domains = 0 }) pat t);
-       false
-     with Invalid_argument _ -> true)
+  let net = Tcn.Encode.pattern_set [ p "SEQ(E1, E2) WITHIN 10" ] in
+  let t = Tcn.Encode.extend net (Tuple.of_list [ ("E1", 0); ("E2", 5) ]) in
+  List.iter
+    (fun domains ->
+      check_bool
+        (Printf.sprintf "domains = %d rejected" domains)
+        true
+        (try
+           ignore
+             (Explain.Bnb.search ~domains ~repair:Explain.Lp_repair.repair net t);
+           false
+         with Invalid_argument _ -> true))
+    [ 0; 2 ]
 
 let suite =
   ( "bnb",
@@ -199,12 +248,12 @@ let suite =
       Gen.qt prop_bnb_equals_flat_weighted;
       Gen.qt prop_bnb_equals_flat_bounded;
       Gen.qt prop_bnb_equals_flat_flow;
-      Gen.qt prop_parallel_equals_serial;
       Alcotest.test_case "bound on wider and nested ANDs" `Quick
         test_bound_nested_ands;
       Alcotest.test_case "paper example (Table 1)" `Quick test_paper_example;
       Alcotest.test_case "bound pruning on AND(E1..E6)" `Quick test_bnb_prunes;
       Alcotest.test_case "zero-cost short circuit" `Quick
         test_zero_cost_short_circuit;
+      Alcotest.test_case "zero-cost stop pin" `Quick test_zero_stop_pin;
       Alcotest.test_case "invalid domain count" `Quick test_invalid_domains;
     ] )

@@ -184,7 +184,7 @@ let test_modification_paper_example () =
   (* Algorithm 2 as published sweeps every binding; the branch-and-bound
      engine (the default) returns the same repair from fewer leaves. *)
   let full engine = Modification.explain ~strategy:Modification.Full ~engine [ p0 ] t2 in
-  (match (full Modification.Flat, full (Modification.Bnb { domains = 1 })) with
+  (match (full Modification.Flat, full Modification.Bnb) with
   | Some flat, Some bnb ->
       check_int "cost 44 (Example 6)" 44 flat.cost;
       check_int "16 bindings" 16 flat.bindings_tried;

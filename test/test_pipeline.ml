@@ -87,69 +87,48 @@ let prepared_sample () =
     [ (Datagen.Rtfm.patterns, rtfm); ([ f4.pattern ], f4.observed);
       ([ f6.pattern ], f6.observed) ]
 
-(* With [domains > 1] the bnb workers share an incumbent, so the leaves
-   solved (and their pivots) depend on timing; only the result is fixed. *)
-let deterministic = function
-  | Modification.Bnb { domains } -> domains = 1
-  | Modification.Flat -> true
-
-let show_result ~stats = function
+let show_result = function
   | None -> "none"
   | Some { Modification.repaired; cost; bindings_tried; exact } ->
-      Format.asprintf "%d %b %a%s" cost exact Tuple.pp repaired
-        (if stats then Printf.sprintf " [%d]" bindings_tried else "")
+      Format.asprintf "%d %b %a [%d]" cost exact Tuple.pp repaired
+        bindings_tried
 
-let show_outcome ~stats o =
+let show_outcome o =
   match o with
   | Pipeline.Modify_timestamps r ->
-      Format.asprintf "timestamps %s" (show_result ~stats (Some r))
+      Format.asprintf "timestamps %s" (show_result (Some r))
   | o -> Format.asprintf "%a" Pipeline.pp_outcome o
 
 let test_prepared_agrees () =
   let sample = prepared_sample () in
-  let engines =
-    [ Modification.Bnb { domains = 1 }; Modification.Flat;
-      Modification.Bnb { domains = 2 } ]
-  in
-  let strategies =
-    [ Modification.Full; Modification.Single; Modification.Sampled 3 ]
-  in
   let compared = ref 0 in
-  let agree what ~stats (a, pa) (b, pb) =
+  let agree what (a, pa) (b, pb) =
     incr compared;
     Alcotest.(check string) what a b;
-    if stats then check_int (what ^ ": simplex pivots") pa pb
+    check_int (what ^ ": simplex pivots") pa pb
   in
   (* Through the pipeline: the shared value hits the domain's cache after
      its first call; a fresh [prepare] per call is the uncached run. *)
   List.iter
     (fun (ps, t) ->
       List.iter
-        (fun (strategy, engine, solver, max_cost) ->
-          let stats = deterministic engine in
-          let run f = with_pivots (fun () -> show_outcome ~stats (f ())) in
-          agree "pipeline" ~stats
+        (fun (strategy, solver, max_cost) ->
+          let run f = with_pivots (fun () -> show_outcome (f ())) in
+          agree "pipeline"
             (run (fun () ->
-                 Pipeline.explain_prepared ~strategy ~engine ~solver ?max_cost
+                 Pipeline.explain_prepared ~strategy ~solver ?max_cost
                    (Pipeline.prepare ps) t))
-            (run (fun () ->
-                 Pipeline.explain ~strategy ~engine ~solver ?max_cost ps t)))
-        (List.concat_map
-           (fun strategy ->
-             List.map
-               (fun engine -> (strategy, engine, Modification.Lp, None))
-               engines)
-           strategies
-        @ [ (Modification.Full, Modification.Bnb { domains = 1 },
-             Modification.Flow, None);
-            (Modification.Full, Modification.Flat, Modification.Flow, None);
-            (Modification.Full, Modification.Bnb { domains = 1 },
-             Modification.Lp, Some 10);
-            (Modification.Single, Modification.Flat, Modification.Lp, Some 10)
-          ]))
+            (run (fun () -> Pipeline.explain ~strategy ~solver ?max_cost ps t)))
+        [ (Modification.Full, Modification.Lp, None);
+          (Modification.Single, Modification.Lp, None);
+          (Modification.Sampled 3, Modification.Lp, None);
+          (Modification.Full, Modification.Flow, None);
+          (Modification.Full, Modification.Lp, Some 10);
+          (Modification.Single, Modification.Lp, Some 10) ])
     sample;
-  (* Weights and bounds reach [Modification], not the pipeline: one prepared
-     value per query, reused by every tuple, against the uncached call. *)
+  (* Weights, bounds and the flat sweep reach [Modification], not the
+     pipeline: one prepared value per query, reused by every tuple, against
+     the uncached call. *)
   let weights e = 1 + (Char.code e.[String.length e - 1] mod 3) in
   let bounds e = Some (40 + (20 * (Char.code e.[0] mod 4))) in
   let prepared = ref [] in
@@ -166,29 +145,28 @@ let test_prepared_agrees () =
       if not (Pattern.Matcher.matches_set t ps) then
         List.iter
           (fun (strategy, engine, solver, weights, bounds) ->
-            let stats = deterministic engine in
-            let run f = with_pivots (fun () -> show_result ~stats (f ())) in
-            agree "modification" ~stats
+            let run f = with_pivots (fun () -> show_result (f ())) in
+            agree "modification"
               (run (fun () ->
                    Modification.explain ~strategy ~engine ~solver ?weights
                      ?bounds ps t))
               (run (fun () ->
                    Modification.explain_prepared ~strategy ~engine ~solver
                      ?weights ?bounds (prepared_of ps) t)))
-          [ (Modification.Full, Modification.Bnb { domains = 1 },
-             Modification.Lp, Some weights, None);
-            (Modification.Full, Modification.Bnb { domains = 1 },
-             Modification.Lp, None, Some bounds);
-            (Modification.Full, Modification.Bnb { domains = 1 },
-             Modification.Flow, Some weights, Some bounds);
+          [ (Modification.Full, Modification.Bnb, Modification.Lp,
+             Some weights, None);
+            (Modification.Full, Modification.Bnb, Modification.Lp, None,
+             Some bounds);
+            (Modification.Full, Modification.Bnb, Modification.Flow,
+             Some weights, Some bounds);
             (Modification.Full, Modification.Flat, Modification.Lp,
              Some weights, Some bounds);
-            (Modification.Full, Modification.Bnb { domains = 2 },
-             Modification.Lp, Some weights, Some bounds);
             (Modification.Sampled 3, Modification.Flat, Modification.Lp,
              Some weights, Some bounds) ])
     sample;
-  check_bool "the sample reaches every route" true (!compared > 300)
+  (* 21 tuples on 6 pipeline routes, and the 13 non-answers among them on
+     5 modification routes *)
+  check_int "the sample reaches every route" 191 !compared
 
 let test_prepared_cache () =
   let q = p "SEQ(E1, E2) WITHIN 10" in
@@ -236,14 +214,14 @@ let test_prepared_domains () =
   let sample = prepared_sample () in
   let rtfm = List.filter (fun (ps, _) -> ps == Datagen.Rtfm.patterns) sample in
   let pipeline () =
-    List.map (fun (ps, t) -> show_outcome ~stats:true (Pipeline.explain ps t)) rtfm
+    List.map (fun (ps, t) -> show_outcome (Pipeline.explain ps t)) rtfm
   in
   let shared = Modification.prepare Datagen.Rtfm.patterns in
   Modification.close shared;
   let modification () =
     List.map
       (fun (_, t) ->
-        show_result ~stats:true (Modification.explain_prepared shared t))
+        show_result (Modification.explain_prepared shared t))
       (List.filter
          (fun (ps, t) -> not (Pattern.Matcher.matches_set t ps))
          rtfm)

@@ -16,7 +16,6 @@ let child = Obs.span "test.child"
 let grand = Obs.span "test.grand"
 let sibling = Obs.span "test.sibling"
 let inner = Obs.span "test.inner"
-let worker_s = Obs.span "test.worker"
 
 let spans_of events =
   List.filter_map
@@ -139,31 +138,6 @@ let test_ring_drop_accounting () =
   check_int "drops are exact: emitted = recorded + dropped" 208
     (T.recorded () + T.dropped ());
   check_int "events readable after join" capacity (List.length (T.events ()))
-
-let test_cross_domain_context () =
-  with_tracer @@ fun () ->
-  T.with_trace "spawner" (fun () ->
-      let ctx = T.context () in
-      let d =
-        Domain.spawn (fun () ->
-            T.with_context ctx (fun () ->
-                Obs.time worker_s (fun () ->
-                    T.emit (T.Mark { label = "from-worker" }))))
-      in
-      Domain.join d);
-  let events = T.events () in
-  let worker_mark =
-    List.find_opt
-      (fun (e : T.event) ->
-        match e.kind with T.Mark { label } -> label = "from-worker" | _ -> false)
-      events
-  in
-  match worker_mark with
-  | None -> Alcotest.fail "worker event not recorded"
-  | Some e ->
-      check_int "worker event joins the spawning trace" 1 e.trace_id;
-      check_bool "worker event carries its own domain id" true
-        (e.dom <> (List.hd events).dom)
 
 (* --- renderer round-trips on a real engine workload --- *)
 
@@ -424,7 +398,6 @@ let suite =
       Alcotest.test_case "emit outside trace is silent" `Quick
         test_emit_outside_trace_is_silent;
       Alcotest.test_case "ring drop accounting" `Quick test_ring_drop_accounting;
-      Alcotest.test_case "cross-domain context" `Quick test_cross_domain_context;
       Alcotest.test_case "engine events present" `Quick test_engine_events_present;
       Alcotest.test_case "jsonl determinism" `Quick test_jsonl_deterministic;
       Alcotest.test_case "chrome export valid" `Quick test_chrome_export_valid;
