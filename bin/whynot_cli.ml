@@ -460,7 +460,14 @@ let detect_cmd =
           Printf.eprintf "%s\n" (Whynot.Serve.Ingest.error_to_string e);
           exit 2
     in
-    let detector = Whynot.Cep.Detector.create ?horizon query in
+    let detector =
+      match Whynot.Cep.Detector.create ?horizon query with
+      | d -> d
+      | exception Invalid_argument msg ->
+          (* e.g. a --horizon that is negative or above the limit *)
+          Printf.eprintf "whynot detect: %s\n" msg;
+          exit 2
+    in
     let matches = Whynot.Cep.Detector.feed_all detector instances in
     List.iter
       (fun m ->
@@ -649,8 +656,14 @@ let serve_cmd =
       else fun _ -> None
     in
     let service =
-      Whynot.Serve.Service.create ?horizon ~max_partials ~shards
-        ~shard_queue ~http_ingest:(not use_stdin) ~help query
+      match
+        Whynot.Serve.Service.create ?horizon ~max_partials ~shards
+          ~shard_queue ~http_ingest:(not use_stdin) ~help query
+      with
+      | service -> service
+      | exception Invalid_argument msg ->
+          Printf.eprintf "whynot serve: %s\n" msg;
+          exit 2
     in
     let server = Whynot.Serve.Http.listen ~backlog ~port () in
     let port = Whynot.Serve.Http.port server in

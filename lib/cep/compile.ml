@@ -22,9 +22,8 @@ let matrix_equal a b =
          Array.length r1 = Array.length r2 && Array.for_all2 Int.equal r1 r2)
        a b
 
-let plan ?(max_matrices = max_matrices) ?(on_fallback = fun () -> ())
-    patterns =
-  let net = Tcn.Encode.pattern_set patterns in
+let of_network ?(max_matrices = max_matrices) ?(on_fallback = fun () -> ())
+    (net : Tcn.Encode.set) patterns =
   let required = Pattern.Ast.events_of_set patterns in
   let events = Array.of_list (Event.Set.elements required) in
   let index_of =
@@ -111,3 +110,7 @@ let plan ?(max_matrices = max_matrices) ?(on_fallback = fun () -> ())
     end
   in
   { Plan.events; types; transitions; matrices; fallback }
+
+let plan ?max_matrices ?on_fallback patterns =
+  of_network ?max_matrices ?on_fallback (Tcn.Encode.pattern_set patterns)
+    patterns

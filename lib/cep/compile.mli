@@ -29,3 +29,12 @@ val plan :
     [detector.plan.fallback_checks]). Pass [~max_matrices:0] to force the
     fallback path (the differential tests do). @raise Invalid_argument on
     an invalid pattern set (via the encoder). *)
+
+val of_network :
+  ?max_matrices:int ->
+  ?on_fallback:(unit -> unit) ->
+  Tcn.Encode.set ->
+  Pattern.Ast.t list ->
+  Plan.t
+(** {!plan} on the set's encoding ({!Tcn.Encode.pattern_set} of the same
+    patterns), so a caller that needs the encoding too encodes once. *)

@@ -49,19 +49,19 @@ let live_g = Obs.gauge "detector.partials_live"
 let peak_g = Obs.gauge "detector.partials_peak"
 let plan_matrices_g = Obs.gauge "detector.plan.matrices"
 let plan_fallback_c = Obs.counter "detector.plan.fallback_checks"
-let plan_rejected_c = Obs.counter "detector.plan.rejected"
 
 let root_within = function
   | Pattern.Ast.Event _ -> None
   | Pattern.Ast.Seq (_, w) | Pattern.Ast.And (_, w) -> w.within
 
 (* Everything about a query that is independent of detector state:
-   validation, horizon inference, the consistency pre-check and (for the
-   compiled engine) the compiled plan. Sharded serving instantiates one
-   detector per partition key; paying validation + compilation once per
-   query instead of once per key is what makes that affordable. All fields
-   are immutable after construction, so a template may be shared across
-   domains — each [of_template] call builds a fresh mutable store. *)
+   validation, horizon inference, the encoding, the consistency pre-check
+   and (for the compiled engine) the compiled plan. Sharded serving
+   instantiates one detector per partition key; paying validation +
+   compilation once per query instead of once per key is what makes that
+   affordable. All fields are immutable after construction, so a template
+   may be shared across domains — each [of_template] call builds a fresh
+   mutable store. *)
 type template = {
   tpl_patterns : Pattern.Ast.t list;
   tpl_net : Tcn.Encode.set;
@@ -80,7 +80,12 @@ let template ?(engine = Compiled) ?horizon ?(max_partials = 4096) patterns =
   let horizon =
     match horizon with
     | Some h ->
-        if h < 0 then invalid_arg "Detector.create: negative horizon" else h
+        if h < 0 then invalid_arg "Detector.create: negative horizon"
+        else if h > Events.Time.max_span then
+          invalid_arg
+            (Printf.sprintf "Detector.create: horizon %d exceeds the limit %d"
+               h Events.Time.max_span)
+        else h
     | None -> (
         match
           List.fold_left
@@ -96,26 +101,36 @@ let template ?(engine = Compiled) ?horizon ?(max_partials = 4096) patterns =
             invalid_arg
               "Detector.create: no root WITHIN bound; give ~horizon explicitly")
   in
-  let report =
-    Explain.Consistency.check ~strategy:Explain.Consistency.Pruned patterns
-  in
-  if not report.consistent then
-    invalid_arg "Detector.create: inconsistent query (it can never match)";
+  let net = Tcn.Encode.pattern_set patterns in
+  let required = Pattern.Ast.events_of_set patterns in
   let plan =
     match engine with
     | Naive -> None
     | Compiled ->
         let plan =
-          Compile.plan ~on_fallback:(fun () -> Obs.incr plan_fallback_c)
-            patterns
+          Compile.of_network
+            ~on_fallback:(fun () -> Obs.incr plan_fallback_c)
+            net patterns
         in
         Obs.gauge_set plan_matrices_g (Plan.matrix_count plan);
         Some plan
   in
+  let consistent =
+    match plan with
+    | Some ({ Plan.fallback = None; _ } as plan) ->
+        (* the plan's sweep kept the matrix of every consistent binding *)
+        Plan.matrix_count plan > 0
+    | Some _ | None ->
+        (Explain.Consistency.check_network
+           ~strategy:Explain.Consistency.Pruned ~events:required net)
+          .consistent
+  in
+  if not consistent then
+    invalid_arg "Detector.create: inconsistent query (it can never match)";
   {
     tpl_patterns = patterns;
-    tpl_net = Tcn.Encode.pattern_set patterns;
-    tpl_required = Pattern.Ast.events_of_set patterns;
+    tpl_net = net;
+    tpl_required = required;
     tpl_horizon = horizon;
     tpl_max_partials = max_partials;
     tpl_engine = engine;
@@ -190,7 +205,11 @@ let feed_naive t buf inst =
      including instances of irrelevant types — or dead partials linger (and
      inflate the buffer) on streams dominated by other event types. *)
   let alive, expired =
-    List.partition (fun p -> inst.timestamp - p.earliest <= t.horizon) buf.partials
+    List.partition
+      (* saturating, as [Plan.evict_horizon] cuts: a jump of 2^62 or more
+         must not wrap round to "still in reach" *)
+      (fun p -> Tcn.Weight.sat_sub inst.timestamp p.earliest <= t.horizon)
+      buf.partials
   in
   (match expired with
   | [] -> ()
@@ -245,7 +264,8 @@ let feed_naive t buf inst =
       List.partition (fun p -> complete t p) extensions
     in
     let matches =
-      (* Pruning is conservative; the matcher is the final authority. *)
+      (* The oracle confirms its completions with the matcher, which
+         decides Definition 2 straight off the AST. *)
       List.filter (fun p -> Pattern.Matcher.matches_set p.assigned t.patterns) matches
     in
     let partials = keep @ fresh @ alive in
@@ -326,17 +346,10 @@ let feed_compiled t store inst =
     Obs.gauge_max peak_g live;
     if Obs.Trace.should_emit () then
       Obs.Trace.emit (Obs.Trace.Detector_admit { live });
-    let matches =
-      (* Pruning is conservative; the matcher is the final authority. A
-         rejection is counted: none has been seen yet, so the count is the
-         evidence for (or against) dropping the confirmation. *)
-      List.filter
-        (fun (tuple, _) ->
-          let confirmed = Pattern.Matcher.matches_set tuple t.patterns in
-          if not confirmed then Obs.incr plan_rejected_c;
-          confirmed)
-        out.Plan.out_matches
-    in
+    (* Every completion is a match: the plan decides Definition 2 exactly
+       on the inputs [template] accepts (docs/DETECTION.md, "Why the plan
+       needs no confirmation"), so nothing re-checks it here. *)
+    let matches = out.Plan.out_matches in
     (match matches with
     | [] -> ()
     | _ ->

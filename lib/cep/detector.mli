@@ -15,8 +15,11 @@
       query's temporal network, Algorithm 1 with prefix pruning);
     - a hard capacity bound (oldest partials evicted first).
 
-    Matching is confirmed with {!Pattern.Matcher} before a match is
-    emitted, so emitted matches are exact regardless of pruning.
+    Emitted matches are exact. The {!Naive} engine confirms each
+    completion with {!Pattern.Matcher}. The {!Compiled} engine emits what
+    its plan completes: on every input {!template} accepts (window bounds
+    and horizon at most {!Events.Time.max_span}) a completion is a match,
+    as docs/DETECTION.md proves case by case.
 
     {b Bounded Kleene.} Queries may use the parser's
     [REPEAT(E, k)] sugar: the pattern then contains alias events
@@ -53,8 +56,11 @@ type t
 
 type template
 (** A validated, compiled query with no detector state: the parsed
-    patterns, the inferred horizon, the consistency pre-check result and
-    (for the {!Compiled} engine) the compiled {!Plan}. Immutable after
+    patterns, the inferred horizon, the encoding and (for the {!Compiled}
+    engine) the compiled {!Plan}. The query is encoded once, and the
+    consistency pre-check reads the plan's matrices: a plan without
+    fallback is consistent iff it kept one. Only the {!Naive} engine and
+    a fallback plan run {!Explain.Consistency.check_network}. Immutable after
     construction, so one template may be shared across domains; each
     {!of_template} call derives an independent detector with fresh partial
     state. Sharded serving keeps one detector {e per partition key} — the
@@ -69,7 +75,8 @@ val template :
 (** [engine] defaults to [Compiled]. [horizon] defaults to the largest
     root [WITHIN] bound of the query; it must be given when no pattern has
     one. [max_partials] defaults to 4096. @raise Invalid_argument on an
-    invalid or window-less unbounded query, or an inconsistent query. *)
+    invalid or window-less unbounded query, an inconsistent query, or a
+    horizon that is negative or above {!Events.Time.max_span}. *)
 
 val of_template : template -> t
 (** A fresh detector (empty partial buffer, clock reset) sharing the

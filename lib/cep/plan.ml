@@ -118,7 +118,7 @@ type outcome = {
 (* Saturating t(j) - t(i), clamped into [-inf, inf] exactly like a bound
    entering an STN — so the comparison against a minimal-network entry
    matches what the naive engine's pinned consistency check would see. *)
-let diff a b = Weight.clamp (Weight.sat_add a (Weight.neg b))
+let diff a b = Weight.clamp (Weight.sat_sub a b)
 
 (* Would assigning [events.(j) := ts] fit matrix [m] given the already
    assigned cells? By decomposability, pairwise bounds against the
@@ -215,9 +215,8 @@ let insert s p =
 let rec evict_horizon s timestamp n =
   match Queue.peek_opt s.by_earliest with
   | Some (e0, bucket)
-  (* mirrors the naive `timestamp - earliest <= horizon` cut, without the
-     wrap *)
-    when Weight.sat_add timestamp (Weight.neg e0) > s.horizon ->
+  (* the naive engine cuts the same way *)
+    when Weight.sat_sub timestamp e0 > s.horizon ->
       ignore (Queue.pop s.by_earliest);
       let n =
         List.fold_left

@@ -29,8 +29,8 @@
       gives O(evicted) horizon eviction, and an insertion-order queue
       O(evicted) capacity eviction. Evicted partials are tombstoned and
       compacted away amortized O(1). An assignment becomes an
-      {!Events.Tuple.t} only when it completes (for the caller's
-      confirmation) or for a {!field-fallback} check.
+      {!Events.Tuple.t} only when it completes (it is then a match) or
+      for a {!field-fallback} check.
 
     The store replays the naive engine {e bit-identically}: matches,
     match order, tags, live partial counts and both eviction counters are
@@ -88,9 +88,11 @@ val live : store -> int
 
 type outcome = {
   out_matches : (Events.Tuple.t * (Events.Event.t * string) list) list;
-      (** completed assignments in generation order, tags newest-first;
-          {e candidates} — the caller confirms them with
-          {!Pattern.Matcher} exactly like the naive engine *)
+      (** completed assignments in generation order, tags newest-first.
+          With window bounds and a horizon at most
+          {!Events.Time.max_span}, each one matches the query
+          ({!Pattern.Matcher.matches_set}); docs/DETECTION.md gives the
+          proof, and test/test_plan.ml checks it without a filter *)
   out_horizon_evicted : int;
   out_capacity_evicted : int;
   out_irrelevant : bool;

@@ -1,5 +1,7 @@
 type t = int
 
+let max_span = (max_int / 4) - 1
+
 let of_hm s =
   match String.index_opt s ':' with
   | None -> invalid_arg (Printf.sprintf "Time.of_hm: missing ':' in %S" s)

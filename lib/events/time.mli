@@ -6,6 +6,14 @@
 
 type t = int
 
+val max_span : t
+(** The largest window bound ([ATLEAST]/[WITHIN]) and detector horizon
+    the engines accept: [max_int / 4 - 1]. {!Tcn.Weight.inf}, the
+    temporal networks' "unbounded" sentinel, is [max_span + 1], so no
+    accepted bound, and no difference between two timestamps at most a
+    horizon apart, is ever read as "unbounded" or clamped
+    (docs/DETECTION.md, "Why the plan needs no confirmation"). *)
+
 val of_hm : string -> t
 (** [of_hm "17:08"] is [17*60 + 8]. @raise Invalid_argument on bad syntax. *)
 

@@ -54,6 +54,13 @@ type prepared = {
    call on a fresh value does the work, bumps the counters and emits the
    trace events of an uncached call, in the same order. *)
 let prepare patterns =
+  (* Validate before any stage runs, as [Modification.prepare] does: a
+     bound past [Events.Time.max_span] would reach the consistency check,
+     whose networks read it as unbounded while the matcher does not. *)
+  (match Pattern.Ast.validate_set patterns with
+  | Ok () -> ()
+  | Error e ->
+      invalid_arg (Format.asprintf "Pipeline.explain: %a" Pattern.Ast.pp_error e));
   {
     patterns;
     consistency =
@@ -124,8 +131,9 @@ let cached patterns =
     match hit with
     | p :: _ -> p
     | [] ->
+        let p = prepare patterns in
         Obs.incr prepares_c;
-        prepare patterns
+        p
   in
   recent := p :: List.filteri (fun i _ -> i < capacity - 1) rest;
   p

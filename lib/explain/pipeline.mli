@@ -38,7 +38,8 @@ type prepared
     that forces it: do not use one from two domains at once. *)
 
 val prepare : Pattern.Ast.t list -> prepared
-(** Does no work yet (see {!prepared}). *)
+(** Validates the patterns and defers everything else (see {!prepared}).
+    @raise Invalid_argument on invalid patterns. *)
 
 val explain_prepared :
   ?strategy:Modification.strategy ->

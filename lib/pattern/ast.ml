@@ -82,12 +82,16 @@ type error =
   | Empty_composition
   | Inverted_window of Events.Time.t * Events.Time.t
   | Negative_bound of Events.Time.t
+  | Bound_above_limit of Events.Time.t
   | Duplicate_event of Event.t
 
 let pp_error ppf = function
   | Empty_composition -> Format.fprintf ppf "SEQ/AND with no sub-pattern"
   | Inverted_window (a, b) -> Format.fprintf ppf "ATLEAST %d WITHIN %d requires %d <= %d" a b a b
   | Negative_bound a -> Format.fprintf ppf "negative window bound %d" a
+  | Bound_above_limit a ->
+      Format.fprintf ppf "window bound %d exceeds the limit %d" a
+        Events.Time.max_span
   | Duplicate_event e -> Format.fprintf ppf "event %a occurs twice in one pattern" Event.pp e
 
 let ( let* ) = Result.bind
@@ -95,6 +99,7 @@ let ( let* ) = Result.bind
 let check_window { atleast; within } =
   let check_bound = function
     | Some a when a < 0 -> Error (Negative_bound a)
+    | Some a when a > Events.Time.max_span -> Error (Bound_above_limit a)
     | _ -> Ok ()
   in
   let* () = check_bound atleast in

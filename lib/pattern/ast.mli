@@ -57,6 +57,9 @@ type error =
   | Inverted_window of Events.Time.t * Events.Time.t
       (** ATLEAST a WITHIN b with a > b *)
   | Negative_bound of Events.Time.t
+  | Bound_above_limit of Events.Time.t
+      (** a bound above {!Events.Time.max_span}: the temporal networks
+          would read it as unbounded while {!Matcher} reads it literally *)
   | Duplicate_event of Events.Event.t
       (** the same event occurs twice in one pattern (tuples bind each event
           to a single timestamp, Definition 2) *)

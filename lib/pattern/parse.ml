@@ -122,13 +122,17 @@ let unit_factor = function
 let parse_duration st =
   match peek st with
   | Int v ->
+      let at = pos st in
       advance st;
       (match peek st with
       | Ident u -> (
           match unit_factor (String.lowercase_ascii u) with
-          | Some f ->
+          | Some f -> (
               advance st;
-              v * f
+              match Numeric.Checked.mul v f with
+              | d -> d
+              | exception Numeric.Checked.Overflow ->
+                  fail at "duration out of range: %d %s" v u)
           | None -> v)
       | _ -> v)
   | tok -> fail (pos st) "expected a duration but found %a" pp_token tok

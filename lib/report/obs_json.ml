@@ -26,69 +26,6 @@ let span (s : Obs.span_snapshot) =
       ("max_ms", Json.Float (float_of_int s.max_ns /. 1e6));
     ]
 
-let snapshot_delta (old_ : Obs.snapshot) (cur : Obs.snapshot) : Obs.snapshot =
-  let lookup section name =
-    List.find_map
-      (fun (n, v) -> if String.equal n name then Some v else None)
-      section
-  in
-  let sub_ints section old =
-    List.map
-      (fun (name, v) ->
-        (name, v - Option.value ~default:0 (lookup old name)))
-      section
-  in
-  let sub_hist (cur : Obs.hist_snapshot) (old : Obs.hist_snapshot option) =
-    match old with
-    | None -> cur
-    | Some o ->
-        let same_bounds =
-          List.length cur.h_buckets = List.length o.h_buckets
-          && List.for_all2
-               (fun (b, _) (b', _) -> Option.equal Int.equal b b')
-               cur.h_buckets o.h_buckets
-        in
-        {
-          h_count = cur.h_count - o.h_count;
-          h_sum = cur.h_sum - o.h_sum;
-          h_buckets =
-            (* Bounds are fixed at registration, so a mismatch means the
-               snapshots straddle a re-registration; keep the current
-               buckets rather than subtracting unrelated bins. *)
-            (if same_bounds then
-               List.map2
-                 (fun (b, n) (_, n') -> (b, n - n'))
-                 cur.h_buckets o.h_buckets
-             else cur.h_buckets);
-        }
-  in
-  let sub_span (cur : Obs.span_snapshot) (old : Obs.span_snapshot option) =
-    match old with
-    | None -> cur
-    | Some o ->
-        {
-          s_count = cur.s_count - o.s_count;
-          total_ns = cur.total_ns - o.total_ns;
-          (* The per-window maximum is not derivable from two running
-             maxima; pass the cumulative one through. *)
-          max_ns = cur.max_ns;
-        }
-  in
-  {
-    counters = sub_ints cur.counters old_.counters;
-    (* Gauges are levels, not accumulators: the meaningful "delta" reading
-       is the current level. *)
-    gauges = cur.gauges;
-    histograms =
-      List.map
-        (fun (name, h) -> (name, sub_hist h (lookup old_.histograms name)))
-        cur.histograms;
-    spans =
-      List.map
-        (fun (name, s) -> (name, sub_span s (lookup old_.spans name)))
-        cur.spans;
-  }
-
 let render ?(timers = true) (snap : Obs.snapshot) =
   let obj section f = Json.Obj (List.map (fun (name, v) -> (name, f v)) section) in
   Json.Obj

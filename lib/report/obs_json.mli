@@ -11,15 +11,6 @@
     Names are sorted; with [~timers:false] the [spans] section is
     omitted and the output is deterministic for a given workload. *)
 
-val snapshot_delta : Obs.snapshot -> Obs.snapshot -> Obs.snapshot
-(** [snapshot_delta old cur] is the scrape-to-scrape difference: counters,
-    histogram counts/sums/buckets and span counts/totals are subtracted
-    entry-wise (entries missing from [old] count as zero; entries present
-    only in [old] are dropped). Gauges and span maxima pass through [cur]'s
-    value — levels and running maxima have no meaningful difference.
-    Assumes no {!Obs.reset} happened between the two snapshots (a reset
-    shows up as negative deltas rather than being masked). *)
-
 val render : ?timers:bool -> Obs.snapshot -> Json.t
 (** [timers] defaults to [true]. *)
 

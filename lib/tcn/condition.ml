@@ -16,7 +16,7 @@ let interval_holds t { src; dst; lo; hi } =
   | Some ts, Some td ->
       (* Saturating difference: adversarial timestamps must not wrap the
          comparison around. *)
-      let d = Weight.sat_add td (Weight.neg ts) in
+      let d = Weight.sat_sub td ts in
       d >= lo && (match hi with None -> true | Some hi -> d <= hi)
   | _ -> false
 

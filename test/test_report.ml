@@ -124,69 +124,10 @@ let test_render_diagnose () =
   check_bool "total" true (Json.member "total" v = Some (Json.Int 1));
   check_bool "reparses" true (Result.is_ok (Json.of_string (Json.to_string ~indent:2 v)))
 
-(* --- Obs_json.snapshot_delta: per-section interval arithmetic --- *)
-
-let check_int = Alcotest.(check int)
-
-let hist ?(bounds = [ Some 10; None ]) count sum per_bin =
-  { Obs.h_count = count; h_sum = sum; h_buckets = List.combine bounds per_bin }
-
-let test_snapshot_delta () =
-  let old_ =
-    {
-      Obs.counters = [ ("c.kept", 10); ("c.gone", 4) ];
-      gauges = [ ("g.live", 5) ];
-      histograms = [ ("h.lat", hist 3 30 [ 2; 1 ]) ];
-      spans = [ ("s.t", { Obs.s_count = 2; total_ns = 200; max_ns = 150 }) ];
-    }
-  in
-  let cur =
-    {
-      Obs.counters = [ ("c.kept", 17); ("c.new", 3) ];
-      gauges = [ ("g.live", 9) ];
-      histograms = [ ("h.lat", hist 7 95 [ 4; 3 ]) ];
-      spans = [ ("s.t", { Obs.s_count = 5; total_ns = 900; max_ns = 400 }) ];
-    }
-  in
-  let d = Report.Obs_json.snapshot_delta old_ cur in
-  check_int "counter subtracts" 7 (List.assoc "c.kept" d.Obs.counters);
-  check_int "counter missing in old counts from zero" 3
-    (List.assoc "c.new" d.Obs.counters);
-  check_bool "counter only in old dropped" true
-    (List.assoc_opt "c.gone" d.Obs.counters = None);
-  check_int "gauge is point-in-time, not a difference" 9
-    (List.assoc "g.live" d.Obs.gauges);
-  let dh = List.assoc "h.lat" d.Obs.histograms in
-  check_int "histogram count subtracts" 4 dh.Obs.h_count;
-  check_int "histogram sum subtracts" 65 dh.Obs.h_sum;
-  Alcotest.(check (list (pair (option int) int)))
-    "matching buckets subtract pairwise"
-    [ (Some 10, 2); (None, 2) ]
-    dh.Obs.h_buckets;
-  let ds = List.assoc "s.t" d.Obs.spans in
-  check_int "span count subtracts" 3 ds.Obs.s_count;
-  check_int "span total subtracts" 700 ds.Obs.total_ns;
-  check_int "span max is the current running max" 400 ds.Obs.max_ns;
-  (* changed bucket bounds: no pairwise story, keep the current shape *)
-  let rebucketed =
-    Report.Obs_json.snapshot_delta
-      { old_ with Obs.histograms = [ ("h.lat", hist ~bounds:[ Some 99; None ] 3 30 [ 3; 0 ]) ] }
-      cur
-  in
-  Alcotest.(check (list (pair (option int) int)))
-    "mismatched bounds keep current buckets"
-    [ (Some 10, 4); (None, 3) ]
-    (List.assoc "h.lat" rebucketed.Obs.histograms).Obs.h_buckets;
-  (* a reset between the snapshots shows up as a negative delta, not a lie *)
-  let reset_delta = Report.Obs_json.snapshot_delta cur old_ in
-  check_int "negative delta is visible" (-7)
-    (List.assoc "c.kept" reset_delta.Obs.counters)
-
 let suite =
   ( "report",
     [
       Alcotest.test_case "serialize basics" `Quick test_to_string_basics;
-      Alcotest.test_case "snapshot delta" `Quick test_snapshot_delta;
       Alcotest.test_case "pretty print" `Quick test_pretty_print;
       Alcotest.test_case "parse basics" `Quick test_parse_basics;
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
