@@ -679,6 +679,7 @@ let serve_cmd =
       (* Ingest stays on this domain (HTTP ingest answers 503 in this
          mode); the HTTP loop serves scrapes from its own domain(s). *)
       let http_domain = Domain.spawn http_loop in
+      let out = Buffer.create 256 in
       let rec loop lineno =
         match In_channel.input_line stdin with
         | None -> ()
@@ -686,13 +687,14 @@ let serve_cmd =
             (match
                Whynot.Serve.Service.ingest_line service ~lineno line
              with
+            | Ok [] -> ()
             | Ok matches ->
                 List.iter
-                  (fun m ->
-                    print_endline
-                      (Whynot.Report.Json.to_string
-                         (Whynot.Serve.Service.match_json ~line:lineno m)))
-                  matches
+                  (Whynot.Serve.Service.add_match out ~line:lineno)
+                  matches;
+                print_string (Buffer.contents out);
+                flush stdout;
+                Buffer.clear out
             | Error reason ->
                 Printf.eprintf "whynot serve: line %d: %s\n" lineno reason);
             loop (lineno + 1)

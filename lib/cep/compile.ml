@@ -15,6 +15,16 @@ let targets_of required instance_type =
       | None -> if Event.equal e instance_type then e :: acc else acc)
     required []
 
+(* Instance types are numbered in set order: a plain event, or the base
+   of a REPEAT alias. *)
+let instance_types required =
+  Array.of_list
+    (Event.Set.elements
+       (Event.Set.map
+          (fun e ->
+            match Event.alias_info e with Some (base, _, _) -> base | None -> e)
+          required))
+
 let matrix_equal a b =
   Array.length a = Array.length b
   && Array.for_all2
@@ -42,33 +52,18 @@ let of_network ?(max_matrices = max_matrices) ?(on_fallback = fun () -> ())
               index_of);
     }
   in
-  let instance_types =
-    Event.Set.fold
-      (fun e acc ->
-        let ty =
-          match Event.alias_info e with Some (base, _, _) -> base | None -> e
-        in
-        Event.Set.add ty acc)
-      required Event.Set.empty
-  in
-  (* Instance types are numbered in set order. Every one has a target
-     (itself, or its REPEAT aliases), so every number has a transition. *)
-  let type_list = Event.Set.elements instance_types in
-  let types =
-    List.to_seq type_list
-    |> Seq.mapi (fun i ty -> (ty, i))
-    |> Event.Map.of_seq
-  in
+  (* Every instance type has a target (itself, or its REPEAT aliases), so
+     every type index has a transition. *)
+  let types = instance_types required in
   let transitions =
-    Array.of_list
-      (List.map
-         (fun ty ->
-           let targets = List.map target_of_event (targets_of required ty) in
-           {
-             Plan.tr_targets = targets;
-             tr_fresh = List.filter (fun t -> t.Plan.tgt_prereq < 0) targets;
-           })
-         type_list)
+    Array.map
+      (fun ty ->
+        let targets = List.map target_of_event (targets_of required ty) in
+        {
+          Plan.tr_targets = targets;
+          tr_fresh = List.filter (fun t -> t.Plan.tgt_prereq < 0) targets;
+        })
+      types
   in
   let use_fallback =
     (not (Tcn.Bindings.count_is_exact net.set_bindings))

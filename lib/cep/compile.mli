@@ -19,6 +19,11 @@ val targets_of : Events.Event.Set.t -> Events.Event.t -> Events.Event.t list
     base) an instance of the given type may fill, in the engines' shared
     trial order. Shared with the naive engine so both stay in lockstep. *)
 
+val instance_types : Events.Event.Set.t -> Events.Event.t array
+(** The instance types of the given pattern events, sorted: each plain
+    event and the base type of each REPEAT alias. A type's position is
+    its index in {!Plan.field-types}. *)
+
 val plan :
   ?max_matrices:int ->
   ?on_fallback:(unit -> unit) ->

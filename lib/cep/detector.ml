@@ -26,18 +26,20 @@ type state =
   | Naive_buffer of naive_buffer
   | Compiled_store of Plan.store
 
+(* The fields every feed reads come first, so they share a cache line. *)
 type t = {
+  mutable clock : Events.Time.t;
+  state : state;
+  mutable dropped : int; (* capacity evictions *)
+  mutable horizon_evicted : int;
+  mutable count : int; (* naive only; the compiled store tracks its own *)
+  types : Event.t array;  (* the instance types, sorted: their indices *)
   patterns : Pattern.Ast.t list;
   net : Tcn.Encode.set;
   required : Event.Set.t;
   horizon : int;
   max_partials : int;
   engine : engine;
-  state : state;
-  mutable count : int; (* naive only; the compiled store tracks its own *)
-  mutable dropped : int; (* capacity evictions *)
-  mutable horizon_evicted : int;
-  mutable clock : Events.Time.t;
 }
 
 let fed_c = Obs.counter "detector.instances_fed"
@@ -69,6 +71,7 @@ type template = {
   tpl_horizon : int;
   tpl_max_partials : int;
   tpl_engine : engine;
+  tpl_types : Event.t array;
   tpl_plan : Plan.t option; (* [Some] iff [tpl_engine = Compiled] *)
 }
 
@@ -134,6 +137,10 @@ let template ?(engine = Compiled) ?horizon ?(max_partials = 4096) patterns =
     tpl_horizon = horizon;
     tpl_max_partials = max_partials;
     tpl_engine = engine;
+    tpl_types =
+      (match plan with
+      | Some plan -> plan.Plan.types
+      | None -> Compile.instance_types required);
     tpl_plan = plan;
   }
 
@@ -153,6 +160,7 @@ let of_template tpl =
     horizon = tpl.tpl_horizon;
     max_partials = tpl.tpl_max_partials;
     engine = tpl.tpl_engine;
+    types = tpl.tpl_types;
     state;
     count = 0;
     dropped = 0;
@@ -161,6 +169,7 @@ let of_template tpl =
   }
 
 let template_horizon tpl = tpl.tpl_horizon
+let type_index tpl s ~pos ~stop = Plan.type_index tpl.tpl_types s ~pos ~stop
 
 let create ?engine ?horizon ?max_partials patterns =
   of_template (template ?engine ?horizon ?max_partials patterns)
@@ -199,7 +208,7 @@ let complete t partial = Event.Set.for_all (fun e -> Tuple.mem e partial.assigne
    consistency check per candidate extension. Kept as the differential-
    testing oracle for the compiled plan (the same role the flat binding
    sweep plays for Bnb). *)
-let feed_naive t buf inst =
+let feed_naive t buf ~targets ~timestamp ~tag =
   (* Horizon eviction: a partial whose earliest instance is out of reach of
      the root window can never complete. This must happen on every feed —
      including instances of irrelevant types — or dead partials linger (and
@@ -208,7 +217,7 @@ let feed_naive t buf inst =
     List.partition
       (* saturating, as [Plan.evict_horizon] cuts: a jump of 2^62 or more
          must not wrap round to "still in reach" *)
-      (fun p -> Tcn.Weight.sat_sub inst.timestamp p.earliest <= t.horizon)
+      (fun p -> Tcn.Weight.sat_sub timestamp p.earliest <= t.horizon)
       buf.partials
   in
   (match expired with
@@ -222,7 +231,6 @@ let feed_naive t buf inst =
           (Obs.Trace.Detector_evict { reason = Horizon; count = n });
       buf.partials <- alive;
       t.count <- t.count - n);
-  let targets = targets_of t inst.event in
   if targets = [] then begin
     Obs.incr irrelevant_c;
     Obs.gauge_set live_g t.count;
@@ -234,12 +242,12 @@ let feed_naive t buf inst =
     let extend p target =
       if Tuple.mem target p.assigned || not (alias_ready p.assigned target) then None
       else
-        let assigned = Tuple.add target inst.timestamp p.assigned in
+        let assigned = Tuple.add target timestamp p.assigned in
         let candidate =
           {
             assigned;
-            p_tags = (target, inst.tag) :: p.p_tags;
-            earliest = min p.earliest inst.timestamp;
+            p_tags = (target, tag) :: p.p_tags;
+            earliest = min p.earliest timestamp;
           }
         in
         if feasible t assigned then Some candidate else None
@@ -250,9 +258,9 @@ let feed_naive t buf inst =
           if alias_ready Tuple.empty target then
             Some
               {
-                assigned = Tuple.add target inst.timestamp Tuple.empty;
-                p_tags = [ (target, inst.tag) ];
-                earliest = inst.timestamp;
+                assigned = Tuple.add target timestamp Tuple.empty;
+                p_tags = [ (target, tag) ];
+                earliest = timestamp;
               }
           else None)
         targets
@@ -313,10 +321,8 @@ let feed_naive t buf inst =
 
 (* The compiled engine: same observable behavior (matches, order, tags,
    counters, trace events), driven by the plan's indexed store. *)
-let feed_compiled t store inst =
-  let out =
-    Plan.step store ~event:inst.event ~timestamp:inst.timestamp ~tag:inst.tag
-  in
+let feed_compiled t store ~ty ~timestamp ~tag =
+  let out = Plan.step_type store ~ty ~timestamp ~tag in
   (match out.Plan.out_horizon_evicted with
   | 0 -> ()
   | n ->
@@ -360,14 +366,42 @@ let feed_compiled t store inst =
     List.map (fun (tuple, tags) -> { tuple; tags = List.rev tags }) matches
   end
 
-let feed t inst =
-  if inst.timestamp < t.clock then
-    invalid_arg "Detector.feed: timestamps must be non-decreasing";
-  t.clock <- inst.timestamp;
-  Obs.incr fed_c;
-  Obs.Trace.with_trace "detector.feed" @@ fun () ->
+let step t ~ty ~timestamp ~tag =
   match t.state with
-  | Naive_buffer buf -> feed_naive t buf inst
-  | Compiled_store store -> feed_compiled t store inst
+  | Naive_buffer buf ->
+      let targets = if ty < 0 then [] else targets_of t t.types.(ty) in
+      feed_naive t buf ~targets ~timestamp ~tag
+  | Compiled_store store -> feed_compiled t store ~ty ~timestamp ~tag
+
+let advance t timestamp =
+  if timestamp < t.clock then
+    invalid_arg "Detector.feed: timestamps must be non-decreasing";
+  t.clock <- timestamp;
+  Obs.incr fed_c
+
+let feed_type t ~ty ~timestamp ~tag =
+  advance t timestamp;
+  (* the branch spares the untraced feed a closure *)
+  if Obs.Trace.enabled_now () then
+    Obs.Trace.with_trace "detector.feed" (fun () ->
+        step t ~ty ~timestamp ~tag)
+  else step t ~ty ~timestamp ~tag
+
+let feed t inst =
+  match t.state with
+  | Naive_buffer buf ->
+      (* The reference engine finds its targets by name: it shares no type
+         lookup with the compiled plan it is tested against. *)
+      advance t inst.timestamp;
+      Obs.Trace.with_trace "detector.feed" (fun () ->
+          feed_naive t buf
+            ~targets:(targets_of t inst.event)
+            ~timestamp:inst.timestamp ~tag:inst.tag)
+  | Compiled_store _ ->
+      feed_type t
+        ~ty:
+          (Plan.type_index t.types inst.event ~pos:0
+             ~stop:(String.length inst.event))
+        ~timestamp:inst.timestamp ~tag:inst.tag
 
 let feed_all t instances = List.concat_map (feed t) instances

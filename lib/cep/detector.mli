@@ -85,6 +85,12 @@ val of_template : template -> t
 val template_horizon : template -> int
 (** The horizon the template resolved (given or inferred). *)
 
+val type_index : template -> string -> pos:int -> stop:int -> int
+(** The index of the instance type named [s.[pos] .. s.[stop - 1]] among the
+    query's instance types, [-1] when the query ignores that type
+    ({!Plan.type_index}; it allocates nothing). Every detector of the
+    template numbers types this way; see {!feed_type}. *)
+
 val create :
   ?engine:engine -> ?horizon:int -> ?max_partials:int -> Pattern.Ast.t list -> t
 (** [of_template (template ...)] — validate and compile the query, then
@@ -96,6 +102,16 @@ val feed : t -> instance -> match_ list
 (** Advance the stream by one instance (timestamps must be fed in
     non-decreasing order; @raise Invalid_argument otherwise) and return the
     matches completed by it. *)
+
+val feed_type :
+  t -> ty:int -> timestamp:Events.Time.t -> tag:string -> match_ list
+(** {!feed} of an instance given by its {!type_index} [ty]: the same
+    clock check, counters, trace events and matches. On the compiled
+    engine [feed] is this call after the type lookup; the naive engine's
+    [feed] finds its targets by name, so the reference the plan is
+    tested against shares no lookup with it. An instance of an
+    irrelevant type ([ty = -1]) only advances the clock and evicts; its
+    [tag] is never read. *)
 
 val feed_all : t -> instance list -> match_ list
 (** Convenience fold of {!feed}. *)

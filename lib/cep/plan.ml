@@ -15,7 +15,7 @@ type transition = {
 
 type t = {
   events : Event.t array;
-  types : int Event.Map.t;
+  types : Event.t array;
   transitions : transition array;
   matrices : int array array array;
   fallback : (Tuple.t -> bool) option;
@@ -69,9 +69,17 @@ type partial = {
   mutable dead : bool;
 }
 
+(* The fields a feed that evicts nothing reads come first, so they share
+   a cache line. *)
 type store = {
-  plan : t;
   horizon : int;
+  mutable has_front : bool;  (* [by_earliest] is not empty *)
+  mutable front : Events.Time.t;
+      (* the first bucket's [earliest], kept here so that a feed that
+         evicts nothing reads the store alone *)
+  mutable live_count : int;
+  mutable deaths : int;  (* tombstones since the last compaction *)
+  plan : t;
   max_partials : int;
   full_mask : int;
   no_bits : Bytes.t;  (* the empty assignment *)
@@ -84,8 +92,6 @@ type store = {
   by_insertion : partial Queue.t;
       (* oldest first; capacity eviction pops off the front *)
   mutable last_bucket : (Events.Time.t * partial list ref) option;
-  mutable live_count : int;
-  mutable deaths : int;  (* tombstones since the last compaction *)
 }
 
 let create_store ~horizon ~max_partials plan =
@@ -100,6 +106,8 @@ let create_store ~horizon ~max_partials plan =
     no_bits = Bytes.make ((Array.length plan.events + 7) / 8) '\000';
     buckets = Array.make (Array.length plan.transitions) [];
     by_earliest = Queue.create ();
+    has_front = false;
+    front = 0;
     by_insertion = Queue.create ();
     last_bucket = None;
     live_count = 0;
@@ -157,6 +165,10 @@ let tombstone s p =
   s.live_count <- s.live_count - 1;
   s.deaths <- s.deaths + 1
 
+let set_front s =
+  s.has_front <- not (Queue.is_empty s.by_earliest);
+  if s.has_front then s.front <- fst (Queue.peek s.by_earliest)
+
 (* Rebuild every index without tombstones. Triggered once the tombstone
    count exceeds max(64, live), so the O(live + dead) rebuild is paid at
    most once per O(live + dead) evictions — amortized O(1) per death. *)
@@ -176,6 +188,7 @@ let compact s =
     s.by_earliest;
   Queue.clear s.by_earliest;
   Queue.transfer kept s.by_earliest;
+  set_front s;
   (* a dropped empty bucket must never be resurrected by key reuse *)
   s.last_bucket <- None;
   s.deaths <- 0
@@ -193,6 +206,7 @@ let earliest_bucket s ts =
   | _ ->
       let b = ref [] in
       Queue.push (ts, b) s.by_earliest;
+      if not s.has_front then set_front s;
       s.last_bucket <- Some (ts, b);
       b
 
@@ -213,24 +227,24 @@ let insert s p =
    shares its [earliest], so the work is O(evicted), not O(live). Returns
    the number of partials evicted. *)
 let rec evict_horizon s timestamp n =
-  match Queue.peek_opt s.by_earliest with
-  | Some (e0, bucket)
   (* the naive engine cuts the same way *)
-    when Weight.sat_sub timestamp e0 > s.horizon ->
-      ignore (Queue.pop s.by_earliest);
-      let n =
-        List.fold_left
-          (fun n p ->
-            if p.dead then n
-            else begin
-              tombstone s p;
-              n + 1
-            end)
-          n !bucket
-      in
-      bucket := [];
-      evict_horizon s timestamp n
-  | _ -> n
+  if (not s.has_front) || Weight.sat_sub timestamp s.front <= s.horizon then n
+  else begin
+    let _, bucket = Queue.pop s.by_earliest in
+    set_front s;
+    let n =
+      List.fold_left
+        (fun n p ->
+          if p.dead then n
+          else begin
+            tombstone s p;
+            n + 1
+          end)
+        n !bucket
+    in
+    bucket := [];
+    evict_horizon s timestamp n
+  end
 
 (* The fresh singletons of one feed, inserted oldest first: the naive
    engine's [fresh] list is in trial order, newest first. Like the naive
@@ -252,95 +266,126 @@ let rec insert_fresh s ~timestamp ~tag = function
         };
       n + 1
 
-let step s ~event ~timestamp ~tag =
+(* [name] against [s.[pos] .. s.[stop - 1]], ordered as [String.compare]
+   orders the two strings: [i] walks [name], [j] walks the range. *)
+let rec compare_sub name s i j stop =
+  if i = String.length name then if j = stop then 0 else -1
+  else if j = stop then 1
+  else
+    let c = Char.compare (String.unsafe_get name i) (String.get s j) in
+    if c <> 0 then c else compare_sub name s (i + 1) (j + 1) stop
+
+let type_index types s ~pos ~stop =
+  (* binary search over the sorted names, [lo, hi) still open *)
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 (* check: idx - both are indices of types *) in
+      let c = compare_sub types.(mid) s 0 pos stop in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length types)
+
+(* The outcome of an irrelevant instance that evicted nothing, shared. *)
+let irrelevant =
+  {
+    out_matches = [];
+    out_horizon_evicted = 0;
+    out_capacity_evicted = 0;
+    out_irrelevant = true;
+  }
+
+let step_type s ~ty ~timestamp ~tag =
   (* runs on every feed, irrelevant instance types included *)
   let horizon_evicted = evict_horizon s timestamp 0 in
-  match Event.Map.find_opt event s.plan.types with
-  | None ->
-      maybe_compact s;
-      {
-        out_matches = [];
-        out_horizon_evicted = horizon_evicted;
-        out_capacity_evicted = 0;
-        out_irrelevant = true;
-      }
-  | Some ty ->
-      let plan = s.plan in
-      let tr = plan.transitions.(ty) in
-      let complete = Array.length plan.events in
-      (* Extensions in reverse generation order: a completed assignment
-         goes to [rev_done] as its cells, any other to [rev_keep] as a
-         partial. *)
-      let rev_keep = ref [] and rev_done = ref [] in
-      let extend p tgt =
-        if ready p.bits tgt then begin
-          let cells =
-            Cell { idx = tgt.tgt_index; ts = timestamp; tag; next = p.cells }
-          in
-          (* the matrices the extension fits, -1 when it fits none *)
-          let viable =
-            match plan.fallback with
-            | Some check ->
-                if check (to_tuple plan.events cells) then 0 else -1
-            | None ->
-                let v =
-                  refine_mask plan p.viable p.cells tgt.tgt_index timestamp
-                in
-                if v = 0 then -1 else v
-          in
-          if viable < 0 then ()
-          else if p.n_assigned + 1 = complete then
-            rev_done := cells :: !rev_done
-          else
-            rev_keep :=
-              {
-                bits = with_bit p.bits tgt.tgt_index;
-                cells;
-                (* the clock never runs backwards, so the parent's
-                   earliest is inherited (and with it its bucket) *)
-                earliest = p.earliest;
-                n_assigned = p.n_assigned + 1;
-                viable;
-                e_bucket = p.e_bucket;
-                dead = false;
-              }
-              :: !rev_keep
-        end
-      in
-      let rec try_targets p = function
-        | [] -> ()
-        | tgt :: rest ->
-            extend p tgt;
-            try_targets p rest
-      in
-      (* The bucket as it stood before this feed: only pre-existing
-         partials are extension candidates, and the list is newest-first —
-         the order the naive engine scans its buffer. *)
-      List.iter
-        (fun p -> if not p.dead then try_targets p tr.tr_targets)
-        s.buckets.(ty);
-      (* naive buffer order is [keep @ fresh @ alive]; insert oldest
-         first, so: fresh, then keep *)
-      let fresh = insert_fresh s ~timestamp ~tag tr.tr_fresh in
-      List.iter (insert s) !rev_keep;
-      s.live_count <-
-        Checked.add s.live_count (Checked.add fresh (List.length !rev_keep));
-      let capacity_evicted = ref 0 in
-      while s.live_count > s.max_partials do
-        (* oldest live partial first; popped tombstones cost nothing *)
-        let p = Queue.pop s.by_insertion in
-        if not p.dead then begin
-          tombstone s p;
-          incr capacity_evicted
-        end
-      done;
-      maybe_compact s;
-      {
-        out_matches =
-          List.rev_map
-            (fun c -> (to_tuple plan.events c, to_tags plan.events c))
-            !rev_done;
-        out_horizon_evicted = horizon_evicted;
-        out_capacity_evicted = !capacity_evicted;
-        out_irrelevant = false;
-      }
+  if ty < 0 then begin
+    maybe_compact s;
+    if horizon_evicted = 0 then irrelevant
+    else { irrelevant with out_horizon_evicted = horizon_evicted }
+  end
+  else begin
+    let plan = s.plan in
+    let tr = plan.transitions.(ty) in
+    let complete = Array.length plan.events in
+    (* Extensions in reverse generation order: a completed assignment
+       goes to [rev_done] as its cells, any other to [rev_keep] as a
+       partial. *)
+    let rev_keep = ref [] and rev_done = ref [] in
+    let extend p tgt =
+      if ready p.bits tgt then begin
+        let cells =
+          Cell { idx = tgt.tgt_index; ts = timestamp; tag; next = p.cells }
+        in
+        (* the matrices the extension fits, -1 when it fits none *)
+        let viable =
+          match plan.fallback with
+          | Some check ->
+              if check (to_tuple plan.events cells) then 0 else -1
+          | None ->
+              let v =
+                refine_mask plan p.viable p.cells tgt.tgt_index timestamp
+              in
+              if v = 0 then -1 else v
+        in
+        if viable < 0 then ()
+        else if p.n_assigned + 1 = complete then
+          rev_done := cells :: !rev_done
+        else
+          rev_keep :=
+            {
+              bits = with_bit p.bits tgt.tgt_index;
+              cells;
+              (* the clock never runs backwards, so the parent's
+                 earliest is inherited (and with it its bucket) *)
+              earliest = p.earliest;
+              n_assigned = p.n_assigned + 1;
+              viable;
+              e_bucket = p.e_bucket;
+              dead = false;
+            }
+            :: !rev_keep
+      end
+    in
+    let rec try_targets p = function
+      | [] -> ()
+      | tgt :: rest ->
+          extend p tgt;
+          try_targets p rest
+    in
+    (* The bucket as it stood before this feed: only pre-existing
+       partials are extension candidates, and the list is newest-first —
+       the order the naive engine scans its buffer. *)
+    List.iter
+      (fun p -> if not p.dead then try_targets p tr.tr_targets)
+      s.buckets.(ty);
+    (* naive buffer order is [keep @ fresh @ alive]; insert oldest
+       first, so: fresh, then keep *)
+    let fresh = insert_fresh s ~timestamp ~tag tr.tr_fresh in
+    List.iter (insert s) !rev_keep;
+    s.live_count <-
+      Checked.add s.live_count (Checked.add fresh (List.length !rev_keep));
+    let capacity_evicted = ref 0 in
+    while s.live_count > s.max_partials do
+      (* oldest live partial first; popped tombstones cost nothing *)
+      let p = Queue.pop s.by_insertion in
+      if not p.dead then begin
+        tombstone s p;
+        incr capacity_evicted
+      end
+    done;
+    maybe_compact s;
+    {
+      out_matches =
+        List.rev_map
+          (fun c -> (to_tuple plan.events c, to_tags plan.events c))
+          !rev_done;
+      out_horizon_evicted = horizon_evicted;
+      out_capacity_evicted = !capacity_evicted;
+      out_irrelevant = false;
+    }
+  end
+
+let step s ~event ~timestamp ~tag =
+  step_type s
+    ~ty:(type_index s.plan.types event ~pos:0 ~stop:(String.length event))
+    ~timestamp ~tag

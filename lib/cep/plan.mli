@@ -61,9 +61,10 @@ type t = {
       (** real pattern events and REPEAT aliases, sorted; a partial's
           assignment is a set of indices into this array, complete when it
           holds all of them *)
-  types : int Events.Event.Map.t;
-      (** instance type -> its index in [transitions] (and in the store's
-          bucket array); absent types are irrelevant *)
+  types : Events.Event.t array;
+      (** the instance types, sorted; a type's position here is its index
+          in [transitions] (and in the store's bucket array), and absent
+          types are irrelevant *)
   transitions : transition array;  (** per instance type index *)
   matrices : int array array array;
       (** per consistent binding, deduplicated: [(k).(i).(j)] is the
@@ -100,7 +101,19 @@ type outcome = {
           still ran) *)
 }
 
+val type_index : Events.Event.t array -> string -> pos:int -> stop:int -> int
+(** [type_index types s ~pos ~stop] is the index in the sorted [types]
+    (a plan's {!field-types}) of the event name [s.[pos] .. s.[stop - 1]],
+    or [-1] when it is not there. A binary search that compares in place,
+    so it allocates nothing. *)
+
+val step_type : store -> ty:int -> timestamp:Events.Time.t -> tag:string ->
+  outcome
+(** Advance the store by one instance of type index [ty] ({!type_index};
+    [-1] for an irrelevant type, whose [tag] is never read). Timestamps
+    must be fed non-decreasing (the caller — {!Detector.feed} — enforces
+    this). An irrelevant instance that evicts nothing allocates nothing. *)
+
 val step : store -> event:Events.Event.t -> timestamp:Events.Time.t ->
   tag:string -> outcome
-(** Advance the store by one instance. Timestamps must be fed
-    non-decreasing (the caller — {!Detector.feed} — enforces this). *)
+(** {!step_type} on the {!type_index} of [event]. *)

@@ -317,42 +317,35 @@ module Trace = struct
   let trace_seq = Atomic.make 0
   let span_seq = Atomic.make 0
 
-  (* A per-request capture buffer: a CAS cons-list so shard worker
-     domains can append concurrently with the accepting domain. Bounded;
-     appends past the limit are counted, never blocked on. Unlike the
-     ring, a buffer works even with global tracing disabled — tail-based
-     capture must not require paying for a process-wide ring. *)
+  (* A per-request capture buffer. Only the domain that opened the
+     request scope reaches it (shards run a batch to completion on the
+     caller's domain), so it is a plain single-writer list, newest first.
+     Bounded; appends past the limit are counted, never blocked on.
+     Unlike the ring, a buffer works even with global tracing disabled —
+     tail-based capture must not require paying for a process-wide
+     ring. *)
   type buffer = {
-    b_items : event list Atomic.t;
-    b_count : int Atomic.t;
+    mutable b_items : event list;
+    mutable b_count : int;
     b_limit : int;
-    b_dropped : int Atomic.t;
+    mutable b_dropped : int;
   }
 
   let default_buffer_limit = 4096
 
   let buffer ?(limit = default_buffer_limit) () =
     if limit < 1 then invalid_arg "Obs.Trace.buffer: limit must be >= 1";
-    {
-      b_items = Atomic.make [];
-      b_count = Atomic.make 0;
-      b_limit = limit;
-      b_dropped = Atomic.make 0;
-    }
+    { b_items = []; b_count = 0; b_limit = limit; b_dropped = 0 }
 
   let buf_push b ev =
-    let n = Atomic.fetch_and_add b.b_count 1 in
-    if n >= b.b_limit then Atomic.incr b.b_dropped
+    if b.b_count >= b.b_limit then b.b_dropped <- b.b_dropped + 1
     else begin
-      let rec go () =
-        let cur = Atomic.get b.b_items in
-        if not (Atomic.compare_and_set b.b_items cur (ev :: cur)) then go ()
-      in
-      go ()
+      b.b_count <- b.b_count + 1;
+      b.b_items <- ev :: b.b_items
     end
 
-  let buffer_events b = List.rev (Atomic.get b.b_items)
-  let buffer_dropped b = Atomic.get b.b_dropped
+  let buffer_events b = List.rev b.b_items
+  let buffer_dropped b = b.b_dropped
 
   (* Domain-local trace context: which trace this domain is inside, the
      current span, whether the trace was sampled into the ring, and the
@@ -1271,7 +1264,7 @@ module Request = struct
   let gc_overlap_h =
     histogram ~buckets:latency_buckets "serve.request.gc_overlap_us"
 
-  let info_of sc =
+  let info_of ~events sc =
     (* Reconstruct the request's stage intervals on the wall clock:
        [sc_start_ns] is taken right as the connection turn begins, and
        read/service/write follow in order. Overlapping the recorded GC
@@ -1307,50 +1300,65 @@ module Request = struct
       r_gc_read_us = ov w0 read_end;
       r_gc_service_us = ov read_end service_end;
       r_gc_write_us = ov service_end w1;
+      (* the events are reversed only for a request that is kept *)
       r_events =
-        (match sc.sc_buf with Some b -> Trace.buffer_events b | None -> []);
+        (match sc.sc_buf with
+        | Some b when events -> Trace.buffer_events b
+        | Some _ | None -> []);
       r_events_dropped =
         (match sc.sc_buf with Some b -> Trace.buffer_dropped b | None -> 0);
     }
 
+  (* The access line, the GC-overlap histogram and tail retention each
+     read the request's info; it is built only when one of them will. *)
   let finalize sc =
     if not sc.sc_abandoned then begin
-      let info = info_of sc in
-      (match Atomic.get access_level_a with
-      | Some lvl ->
-          Log.emit lvl "serve.access"
-            [
-              ("id", Log.Str info.r_id);
-              ("method", Log.Str info.r_meth);
-              ("path", Log.Str info.r_path);
-              ("status", Log.Num info.r_status);
-              ("bytes_in", Log.Num info.r_bytes_in);
-              ("bytes_out", Log.Num info.r_bytes_out);
-              ("read_us", Log.Num info.r_read_us);
-              ("service_us", Log.Num info.r_service_us);
-              ("write_us", Log.Num info.r_write_us);
-              ("total_us", Log.Num info.r_total_us);
-              ( "shards",
-                Log.Str
-                  (String.concat ","
-                     (List.map string_of_int info.r_shards)) );
-              ("gc_overlap_us", Log.Num info.r_gc_overlap_us);
-              ("gc_read_us", Log.Num info.r_gc_read_us);
-              ("gc_service_us", Log.Num info.r_gc_service_us);
-              ("gc_write_us", Log.Num info.r_gc_write_us);
-              ("keep_alive", Log.Bool info.r_keep_alive);
-              ("shed", Log.Bool info.r_shed);
-            ]
-      | None -> ());
-      if Rt_events.running () then observe gc_overlap_h info.r_gc_overlap_us;
-      if Atomic.get capture_on then begin
-        (* Tail-retention trigger: the time the server spent on the
-           request (service + write), not wall time — a keep-alive
-           connection parked in its read between requests is idle, not
-           slow. Shed and error responses are always retained. *)
-        let spent_us = us_of_ns (sc.sc_service_ns + sc.sc_write_ns) in
-        if info.r_status >= 400 || spent_us >= Atomic.get threshold_us_a then
-          retain info
+      let access =
+        match Atomic.get access_level_a with
+        | Some lvl when Log.enabled lvl -> Some lvl
+        | Some _ | None -> None
+      in
+      let gc = Rt_events.running () in
+      (* Tail-retention trigger: the time the server spent on the
+         request (service + write), not wall time — a keep-alive
+         connection parked in its read between requests is idle, not
+         slow. Shed and error responses are always retained. *)
+      let keep =
+        Atomic.get capture_on
+        && (sc.sc_status >= 400
+           || us_of_ns (sc.sc_service_ns + sc.sc_write_ns)
+              >= Atomic.get threshold_us_a)
+      in
+      if Option.is_some access || gc || keep then begin
+        let info = info_of ~events:keep sc in
+        (match access with
+        | Some lvl ->
+            Log.emit lvl "serve.access"
+              [
+                ("id", Log.Str info.r_id);
+                ("method", Log.Str info.r_meth);
+                ("path", Log.Str info.r_path);
+                ("status", Log.Num info.r_status);
+                ("bytes_in", Log.Num info.r_bytes_in);
+                ("bytes_out", Log.Num info.r_bytes_out);
+                ("read_us", Log.Num info.r_read_us);
+                ("service_us", Log.Num info.r_service_us);
+                ("write_us", Log.Num info.r_write_us);
+                ("total_us", Log.Num info.r_total_us);
+                ( "shards",
+                  Log.Str
+                    (String.concat ","
+                       (List.map string_of_int info.r_shards)) );
+                ("gc_overlap_us", Log.Num info.r_gc_overlap_us);
+                ("gc_read_us", Log.Num info.r_gc_read_us);
+                ("gc_service_us", Log.Num info.r_gc_service_us);
+                ("gc_write_us", Log.Num info.r_gc_write_us);
+                ("keep_alive", Log.Bool info.r_keep_alive);
+                ("shed", Log.Bool info.r_shed);
+              ]
+        | None -> ());
+        if gc then observe gc_overlap_h info.r_gc_overlap_us;
+        if keep then retain info
       end
     end
 

@@ -258,7 +258,11 @@ module Trace : sig
       scope, so the same instrumented sites feed it. This is the
       mechanism behind tail-based request capture ({!Obs.Request}):
       every request records into its own small buffer, and only slow /
-      shed / errored ones are retained. *)
+      shed / errored ones are retained.
+
+      A buffer has one writer: the domain running its capture scope.
+      Appends are plain, not atomic, so no other domain may emit into
+      it. *)
 
   type buffer
 
@@ -482,7 +486,9 @@ end
     scope closes, an access-log line is emitted ({!Log} event
     [serve.access]), and the request is retained in a bounded ring if
     it was slow (service + write time over {!threshold_us}), shed, or
-    errored (status >= 400) — the ring backs [GET /debug/slow].
+    errored (status >= 400) — the ring backs [GET /debug/slow]. The
+    access fields are built only when the log level admits the line, and
+    the captured events are collected only for a retained request.
 
     Capture is {e off} by default and costs nothing disabled; the
     access log follows the global {!Log} level. *)

@@ -94,46 +94,74 @@ let pp_error ppf = function
         Events.Time.max_span
   | Duplicate_event e -> Format.fprintf ppf "event %a occurs twice in one pattern" Event.pp e
 
-let ( let* ) = Result.bind
+exception Invalid of error
+
+let check_bound = function
+  | Some a when a < 0 -> raise (Invalid (Negative_bound a))
+  | Some a when a > Events.Time.max_span -> raise (Invalid (Bound_above_limit a))
+  | Some _ | None -> ()
 
 let check_window { atleast; within } =
-  let check_bound = function
-    | Some a when a < 0 -> Error (Negative_bound a)
-    | Some a when a > Events.Time.max_span -> Error (Bound_above_limit a)
-    | _ -> Ok ()
-  in
-  let* () = check_bound atleast in
-  let* () = check_bound within in
+  check_bound atleast;
+  check_bound within;
   match (atleast, within) with
-  | Some a, Some b when a > b -> Error (Inverted_window (a, b))
-  | _ -> Ok ()
+  | Some a, Some b when a > b -> raise (Invalid (Inverted_window (a, b)))
+  | _ -> ()
+
+(* A single scan collects seen events to reject duplicates within one
+   pattern: a tuple binds each event once, so "E then E again" cannot be
+   expressed (the paper's tuples have no duplicated events). A node's
+   window is checked before its children, the children left to right.
+   A pattern names a handful of events, and scanning a short list costs
+   less than a tree's allocation; past [few] events a set takes over, so
+   a REPEAT of thousands stays n log n. *)
+let few = 16
+
+type seen = {
+  mutable count : int;
+  mutable list : Event.t list;
+  mutable set : Event.Set.t;
+}
+
+let rec mem e = function
+  | [] -> false
+  | x :: rest -> Event.equal x e || mem e rest
+
+let see seen e =
+  if seen.count < few then begin
+    if mem e seen.list then raise (Invalid (Duplicate_event e));
+    seen.list <- e :: seen.list
+  end
+  else begin
+    if seen.count = few then seen.set <- Event.Set.of_list seen.list;
+    if Event.Set.mem e seen.set then raise (Invalid (Duplicate_event e));
+    seen.set <- Event.Set.add e seen.set
+  end;
+  seen.count <- seen.count + 1
+
+let rec check seen = function
+  | Event e -> see seen e
+  | Seq (ps, w) | And (ps, w) -> (
+      check_window w;
+      match ps with
+      | [] -> raise (Invalid Empty_composition)
+      | _ -> check_all seen ps)
+
+and check_all seen = function
+  | [] -> ()
+  | p :: rest ->
+      check seen p;
+      check_all seen rest
 
 let validate p =
-  (* A single scan collects seen events to reject duplicates within one
-     pattern: a tuple binds each event once, so "E then E again" cannot be
-     expressed (the paper's tuples have no duplicated events). *)
-  let rec go seen = function
-    | Event e ->
-        if Event.Set.mem e seen then Error (Duplicate_event e)
-        else Ok (Event.Set.add e seen)
-    | Seq (ps, w) | And (ps, w) ->
-        let* () = check_window w in
-        if ps = [] then Error Empty_composition
-        else
-          List.fold_left
-            (fun acc p ->
-              let* seen = acc in
-              go seen p)
-            (Ok seen) ps
-  in
-  Result.map (fun (_ : Event.Set.t) -> ()) (go Event.Set.empty p)
+  match check { count = 0; list = []; set = Event.Set.empty } p with
+  | () -> Ok ()
+  | exception Invalid e -> Error e
 
-let validate_set ps =
-  List.fold_left
-    (fun acc p ->
-      let* () = acc in
-      validate p)
-    (Ok ()) ps
+let rec validate_set = function
+  | [] -> Ok ()
+  | p :: rest -> (
+      match validate p with Ok () -> validate_set rest | Error _ as e -> e)
 
 let pp_window ppf { atleast; within } =
   Option.iter (fun a -> Format.fprintf ppf " ATLEAST %d" a) atleast;

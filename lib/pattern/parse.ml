@@ -26,92 +26,127 @@ let pp_token ppf = function
   | Kw_within -> Format.fprintf ppf "WITHIN"
   | Eof -> Format.fprintf ppf "end of input"
 
+(* A syntax error, and a lexical one: the lexer runs on demand, and a
+   lexical error anywhere in the input is the one reported (see [run]). *)
 exception Parse_error of int * string
+exception Lex_error of int * string
 
 let fail pos fmt = Format.kasprintf (fun msg -> raise (Parse_error (pos, msg))) fmt
+
+let lex_fail pos fmt =
+  Format.kasprintf (fun msg -> raise (Lex_error (pos, msg))) fmt
 
 (* 1-based line/column of a byte offset, for messages on multi-line input. *)
 let line_col input pos =
   let limit = min pos (String.length input) in
-  let line = ref 1 and bol = ref 0 in
-  for i = 0 to limit - 1 do
-    if input.[i] = '\n' then begin
-      incr line;
-      bol := i + 1
-    end
-  done;
-  (!line, limit - !bol + 1)
+  let rec go i line bol =
+    if i = limit then (line, Numeric.Checked.sub limit bol + 1)
+    else if Char.equal input.[i] '\n' then go (i + 1) (line + 1) (i + 1)
+    else go (i + 1) line bol
+  in
+  go 0 1 0
 
 let error_message input pos msg =
   let line, col = line_col input pos in
   Printf.sprintf "parse error at line %d, column %d (offset %d): %s" line col pos
     msg
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-
-let is_ident_char c =
-  is_ident_start c || (c >= '0' && c <= '9') || c = '.' || c = '-'
-
-let is_digit c = c >= '0' && c <= '9'
-
-let keyword_of s =
-  match String.uppercase_ascii s with
-  | "SEQ" -> Some Kw_seq
-  | "AND" -> Some Kw_and
-  | "REPEAT" -> Some Kw_repeat
-  | "ATLEAST" -> Some Kw_atleast
-  | "WITHIN" -> Some Kw_within
-  | _ -> None
-
-let tokenize input =
-  let n = String.length input in
-  let tokens = ref [] in
-  let i = ref 0 in
-  let push tok pos = tokens := (tok, pos) :: !tokens in
-  while !i < n do
-    let c = input.[!i] in
-    let pos = !i in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '(' then (push Lparen pos; incr i)
-    else if c = ')' then (push Rparen pos; incr i)
-    else if c = ',' then (push Comma pos; incr i)
-    else if c = ';' then (push Semicolon pos; incr i)
-    else if is_digit c then begin
-      let j = ref !i in
-      while !j < n && is_digit input.[!j] do incr j done;
-      let digits = String.sub input !i (!j - !i) in
-      (match int_of_string_opt digits with
-      | Some v -> push (Int v) pos
-      | None -> fail pos "integer literal out of range: %s" digits);
-      i := !j
-    end
-    else if is_ident_start c then begin
-      let j = ref !i in
-      while !j < n && is_ident_char input.[!j] do incr j done;
-      let word = String.sub input !i (!j - !i) in
-      (match keyword_of word with
-      | Some kw -> push kw pos
-      | None -> push (Ident word) pos);
-      i := !j
-    end
-    else fail pos "unexpected character %C" c
-  done;
-  push Eof n;
-  Array.of_list (List.rev !tokens)
-
+(* The lexer's position: the current token, where it starts, and where
+   the one after it starts. *)
 type state = {
-  tokens : (token * int) array;
-  mutable cursor : int;
+  input : string;
+  mutable tok : token;
+  mutable pos : int;
+  mutable next : int;
   mutable groups : int; (* REPEAT nodes seen so far, for alias numbering *)
 }
 
-let peek st = fst st.tokens.(st.cursor)
-let pos st = snd st.tokens.(st.cursor)
-let advance st = st.cursor <- st.cursor + 1
+(* Is [input.[i] .. input.[j - 1]] the upper-case [word], in any case?
+   [k] walks [word]. *)
+let rec is_word input i j word k =
+  if i = j then k = String.length word
+  else
+    k < String.length word
+    && Char.equal (Char.uppercase_ascii input.[i]) word.[k]
+    && is_word input (i + 1) j word (k + 1)
+
+(* Keywords are matched in place, so only an identifier is cut out. *)
+let word input i j =
+  match Numeric.Checked.sub j i with
+  | 3 when is_word input i j "SEQ" 0 -> Kw_seq
+  | 3 when is_word input i j "AND" 0 -> Kw_and
+  | 6 when is_word input i j "REPEAT" 0 -> Kw_repeat
+  | 6 when is_word input i j "WITHIN" 0 -> Kw_within
+  | 7 when is_word input i j "ATLEAST" 0 -> Kw_atleast
+  | n -> Ident (String.sub input i n)
+
+let rec ident_end input i =
+  if i = String.length input then i
+  else
+    match input.[i] with
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' | '.' | '-' ->
+        ident_end input (i + 1)
+    | _ -> i
+
+let rec digits_end input i =
+  if i = String.length input then i
+  else match input.[i] with '0' .. '9' -> digits_end input (i + 1) | _ -> i
+
+(* Up to 18 digits are read here (10^18 < [max_int]); a longer literal,
+   leading zeros and all, is [int_of_string]'s to read or refuse. *)
+let rec decimal input i j acc =
+  if i = j then acc
+  else
+    decimal input (i + 1) j
+      (Numeric.Checked.add (acc * 10) (Char.code input.[i] - 48))
+
+let number input i j =
+  let n = Numeric.Checked.sub j i in
+  if n <= 18 then decimal input i j 0
+  else
+    let digits = String.sub input i n in
+    match int_of_string_opt digits with
+    | Some v -> v
+    | None -> lex_fail i "integer literal out of range: %s" digits
+
+let set st tok pos next =
+  st.tok <- tok;
+  st.pos <- pos;
+  st.next <- next
+
+(* Read the token that starts at or after [i]. *)
+let rec lex st i =
+  let input = st.input in
+  if i >= String.length input then set st Eof i i
+  else
+    match input.[i] with
+    | ' ' | '\t' | '\n' | '\r' -> lex st (i + 1)
+    | '(' -> set st Lparen i (i + 1)
+    | ')' -> set st Rparen i (i + 1)
+    | ',' -> set st Comma i (i + 1)
+    | ';' -> set st Semicolon i (i + 1)
+    | '0' .. '9' ->
+        let j = digits_end input i in
+        set st (Int (number input i j)) i j
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+        let j = ident_end input i in
+        set st (word input i j) i j
+    | c -> lex_fail i "unexpected character %C" c
+
+let advance st = lex st st.next
+
+(* Constant tokens compared by constructor. *)
+let same a b =
+  match (a, b) with
+  | Lparen, Lparen | Rparen, Rparen | Comma, Comma | Semicolon, Semicolon
+  | Eof, Eof | Kw_seq, Kw_seq | Kw_and, Kw_and | Kw_repeat, Kw_repeat
+  | Kw_atleast, Kw_atleast | Kw_within, Kw_within ->
+      true
+  | _ -> false
 
 let expect st tok =
-  if peek st = tok then advance st
-  else fail (pos st) "expected %a but found %a" pp_token tok pp_token (peek st)
+  if same st.tok tok then advance st
+  else fail st.pos "expected %a but found %a" pp_token tok pp_token st.tok
 
 let unit_factor = function
   | "m" | "min" | "mins" | "minute" | "minutes" -> Some 1
@@ -120,11 +155,11 @@ let unit_factor = function
   | _ -> None
 
 let parse_duration st =
-  match peek st with
-  | Int v ->
-      let at = pos st in
+  match st.tok with
+  | Int v -> (
+      let at = st.pos in
       advance st;
-      (match peek st with
+      match st.tok with
       | Ident u -> (
           match unit_factor (String.lowercase_ascii u) with
           | Some f -> (
@@ -135,29 +170,24 @@ let parse_duration st =
                   fail at "duration out of range: %d %s" v u)
           | None -> v)
       | _ -> v)
-  | tok -> fail (pos st) "expected a duration but found %a" pp_token tok
+  | tok -> fail st.pos "expected a duration but found %a" pp_token tok
 
-let parse_window st =
-  let atleast = ref None and within = ref None in
-  let rec loop () =
-    match peek st with
-    | Kw_atleast ->
-        if !atleast <> None then fail (pos st) "duplicate ATLEAST";
-        advance st;
-        atleast := Some (parse_duration st);
-        loop ()
-    | Kw_within ->
-        if !within <> None then fail (pos st) "duplicate WITHIN";
-        advance st;
-        within := Some (parse_duration st);
-        loop ()
-    | _ -> ()
-  in
-  loop ();
-  { Ast.atleast = !atleast; within = !within }
+let rec parse_window ?atleast ?within st =
+  match st.tok with
+  | Kw_atleast ->
+      if Option.is_some atleast then fail st.pos "duplicate ATLEAST";
+      advance st;
+      let a = parse_duration st in
+      parse_window ~atleast:a ?within st
+  | Kw_within ->
+      if Option.is_some within then fail st.pos "duplicate WITHIN";
+      advance st;
+      let w = parse_duration st in
+      parse_window ?atleast ~within:w st
+  | _ -> { Ast.atleast; within }
 
 let rec parse_pattern st =
-  match peek st with
+  match st.tok with
   | Ident e ->
       advance st;
       Ast.Event e
@@ -166,26 +196,27 @@ let rec parse_pattern st =
          event type E, as alias events E#g_1 .. E#g_k (see
          {!Events.Event.repeat_alias}). *)
       advance st;
-      let open_pos = pos st in
+      let open_pos = st.pos in
       expect st Lparen;
       let base =
-        match peek st with
+        match st.tok with
         | Ident e ->
             advance st;
             e
-        | tok -> fail (pos st) "REPEAT needs an event type, found %a" pp_token tok
+        | tok -> fail st.pos "REPEAT needs an event type, found %a" pp_token tok
       in
       expect st Comma;
       let count =
-        match peek st with
+        match st.tok with
         | Int k when k >= 1 ->
             advance st;
             k
-        | Int k -> fail (pos st) "REPEAT count must be >= 1, found %d" k
-        | tok -> fail (pos st) "REPEAT needs a count, found %a" pp_token tok
+        | Int k -> fail st.pos "REPEAT count must be >= 1, found %d" k
+        | tok -> fail st.pos "REPEAT needs a count, found %a" pp_token tok
       in
-      if peek st <> Rparen then fail open_pos "expected ')' closing REPEAT";
-      advance st;
+      (match st.tok with
+      | Rparen -> advance st
+      | _ -> fail open_pos "expected ')' closing REPEAT");
       let w = parse_window st in
       st.groups <- st.groups + 1;
       let group = st.groups in
@@ -203,63 +234,87 @@ let rec parse_pattern st =
       let ps = parse_args st in
       let w = parse_window st in
       Ast.And (ps, w)
-  | tok -> fail (pos st) "expected a pattern but found %a" pp_token tok
+  | tok -> fail st.pos "expected a pattern but found %a" pp_token tok
 
 and parse_args st =
   expect st Lparen;
-  let rec loop acc =
-    let p = parse_pattern st in
-    match peek st with
-    | Comma ->
-        advance st;
-        loop (p :: acc)
-    | Rparen ->
-        advance st;
-        List.rev (p :: acc)
-    | tok -> fail (pos st) "expected ',' or ')' but found %a" pp_token tok
-  in
-  loop []
+  parse_rest st []
 
-let run_validated p =
-  match Ast.validate p with
-  | Ok () -> Ok p
-  | Error e -> Error (Format.asprintf "invalid pattern: %a" Ast.pp_error e)
+(* the arguments after the ones in [acc], newest first *)
+and parse_rest st acc =
+  let p = parse_pattern st in
+  match st.tok with
+  | Comma ->
+      advance st;
+      parse_rest st (p :: acc)
+  | Rparen ->
+      advance st;
+      List.rev (p :: acc)
+  | tok -> fail st.pos "expected ',' or ')' but found %a" pp_token tok
+
+let rec drain st =
+  match st.tok with
+  | Eof -> ()
+  | _ ->
+      advance st;
+      drain st
+
+(* Parse [input] with [f], tokens read on demand. A syntax error is
+   reported only once the rest of the input lexes cleanly: a lexical
+   error anywhere wins, as it did when the input was tokenized whole
+   before parsing. *)
+let run input f =
+  let st = { input; tok = Eof; pos = 0; next = 0; groups = 0 } in
+  match
+    advance st;
+    f st
+  with
+  | v -> Ok v
+  | exception Lex_error (pos, msg) -> Error (error_message input pos msg)
+  | exception Parse_error (pos, msg) -> (
+      match drain st with
+      | () -> Error (error_message input pos msg)
+      | exception Lex_error (pos, msg) -> Error (error_message input pos msg))
+
+let invalid e = Error (Format.asprintf "invalid pattern: %a" Ast.pp_error e)
 
 let pattern input =
   match
-    let st = { tokens = tokenize input; cursor = 0; groups = 0 } in
-    let p = parse_pattern st in
-    expect st Eof;
-    p
+    run input (fun st ->
+        let p = parse_pattern st in
+        expect st Eof;
+        p)
   with
-  | p -> run_validated p
-  | exception Parse_error (pos, msg) -> Error (error_message input pos msg)
+  | Error _ as e -> e
+  | Ok p -> ( match Ast.validate p with Ok () -> Ok p | Error e -> invalid e)
 
 let pattern_exn input =
   match pattern input with Ok p -> p | Error msg -> invalid_arg msg
 
 let pattern_set input =
   match
-    let st = { tokens = tokenize input; cursor = 0; groups = 0 } in
-    let rec loop acc =
-      let p = parse_pattern st in
-      match peek st with
-      | Semicolon ->
-          advance st;
-          if peek st = Eof then (advance st; List.rev (p :: acc))
-          else loop (p :: acc)
-      | Eof ->
-          advance st;
-          List.rev (p :: acc)
-      | tok -> fail (pos st) "expected ';' or end of input but found %a" pp_token tok
-    in
-    loop []
+    run input (fun st ->
+        let rec loop acc =
+          let p = parse_pattern st in
+          match st.tok with
+          | Semicolon -> (
+              advance st;
+              match st.tok with Eof -> List.rev (p :: acc) | _ -> loop (p :: acc))
+          | Eof -> List.rev (p :: acc)
+          | tok ->
+              fail st.pos "expected ';' or end of input but found %a" pp_token
+                tok
+        in
+        loop [])
   with
-  | ps ->
-      List.fold_left
-        (fun acc p ->
-          Result.bind acc (fun acc ->
-              Result.map (fun p -> p :: acc) (run_validated p)))
-        (Ok []) ps
-      |> Result.map List.rev
-  | exception Parse_error (pos, msg) -> Error (error_message input pos msg)
+  | Error _ as e -> e
+  | Ok ps ->
+      (* each pattern validated once, the first invalid one reported *)
+      let rec first_invalid = function
+        | [] -> Ok ps
+        | p :: rest -> (
+            match Ast.validate p with
+            | Ok () -> first_invalid rest
+            | Error e -> invalid e)
+      in
+      first_invalid ps

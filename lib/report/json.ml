@@ -7,21 +7,37 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* Runs of bytes that need no escape are copied whole: [s.[from] ..
+   s.[i - 1]] is such a run. *)
+let flush buf s from i =
+  if i > from then Buffer.add_substring buf s from (i - from)
+
+let rec escape_from buf s from i =
+  if i = String.length s then flush buf s from i
+  else
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\n' | '\r' | '\t') as c ->
+        flush buf s from i;
+        Buffer.add_string buf
+          (match c with
+          | '"' -> "\\\""
+          | '\\' -> "\\\\"
+          | '\n' -> "\\n"
+          | '\r' -> "\\r"
+          | _ -> "\\t");
+        escape_from buf s (i + 1) (i + 1)
+    | c when Char.code c < 0x20 ->
+        flush buf s from i;
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c));
+        escape_from buf s (i + 1) (i + 1)
+    | _ -> escape_from buf s from (i + 1)
+
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  escape_from buf s 0 0;
   Buffer.add_char buf '"'
+
+let add_string = escape
 
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f

@@ -17,6 +17,11 @@ type t =
 val to_string : ?indent:int -> t -> string
 (** Serialize; [indent] > 0 pretty-prints with that step (default compact). *)
 
+val add_string : Buffer.t -> string -> unit
+(** Append a JSON string literal, quoted and escaped exactly as
+    {!to_string} writes a [String], for writers that stream JSON into a
+    buffer without building a tree. *)
+
 val pp : Format.formatter -> t -> unit
 (** Compact form. *)
 

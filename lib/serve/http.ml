@@ -95,31 +95,70 @@ let content_length_of v =
   in
   if n = 0 then None else go 0 0
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
+(* [b.[0] .. b.[n - 1]], however many writes it takes *)
+let write_all fd b n =
   let off = ref 0 in
   while !off < n do
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-let write_response ?(keep_alive = false) fd (r : response) =
-  let extra =
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) r.headers)
-  in
+let write_string fd s =
+  write_all fd (Bytes.unsafe_of_string s) (String.length s)
+
+(* A connection's byte buffers, kept for its life so that a request does
+   not pay for fresh ones: [input.[0] .. input.[filled - 1]] is read and
+   not yet consumed (a pipelining client's next request may already be
+   there), and [output] holds the response being written. Either grows
+   as a message needs and shrinks back after a large one. *)
+type conn_buf = {
+  mutable input : Bytes.t;
+  mutable filled : int;
+  mutable output : Bytes.t;
+}
+
+let small_buf = 4096
+
+let conn_buf () =
+  {
+    input = Bytes.create small_buf;
+    filled = 0;
+    output = Bytes.create small_buf;
+  }
+
+(* [b] with room for [n] bytes, its first [keep] bytes kept *)
+let ensure b n ~keep =
+  if Bytes.length b >= n then b
+  else begin
+    let b' = Bytes.create (max n (2 * Bytes.length b)) in
+    Bytes.blit b 0 b' 0 keep;
+    b'
+  end
+
+(* The head and the body go out in one write, copied once into the
+   connection's output buffer. *)
+let write_response ?(keep_alive = false) cb fd (r : response) =
   let head =
-    Printf.sprintf
-      "HTTP/1.1 %d %s\r\n\
-       Content-Type: %s\r\n\
-       Content-Length: %d\r\n\
-       %sConnection: %s\r\n\
-       \r\n"
-      r.status (reason_of r.status) r.content_type (String.length r.body)
-      extra
-      (if keep_alive then "keep-alive" else "close")
+    "HTTP/1.1 " :: string_of_int r.status :: " " :: reason_of r.status
+    :: "\r\nContent-Type: " :: r.content_type :: "\r\nContent-Length: "
+    :: string_of_int (String.length r.body) :: "\r\n"
+    :: List.concat_map (fun (k, v) -> [ k; ": "; v; "\r\n" ]) r.headers
+    @ [ "Connection: "; (if keep_alive then "keep-alive" else "close");
+        "\r\n\r\n" ]
   in
-  write_all fd (head ^ r.body)
+  let n =
+    List.fold_left (fun n s -> n + String.length s) (String.length r.body) head
+  in
+  let out = ensure cb.output n ~keep:0 in
+  let at =
+    List.fold_left
+      (fun at s ->
+        Bytes.blit_string s 0 out at (String.length s);
+        at + String.length s)
+      0 head
+  in
+  Bytes.blit_string r.body 0 out at (String.length r.body);
+  cb.output <- (if Bytes.length out > max_head_bytes then cb.output else out);
+  write_all fd out n
 
 let parse_head head =
   match String.split_on_char '\n' head with
@@ -164,24 +203,23 @@ type received =
   | Closed  (* clean EOF between requests: nothing buffered, peer gone *)
   | Fail of int * string  (* status to answer before closing *)
 
-(* Read one full request from [fd]. [pending] carries bytes read past the
-   previous request on a kept-alive connection (a pipelining client's
-   next request must not be dropped), and is left holding any overrun on
-   return. Failures carry the status to answer with (400 for malformed
-   input or a repeated Content-Length, 408 for a read timeout, 411 for a
-   body framed by Transfer-Encoding, which this server does not decode,
-   413 for oversized bodies). A timeout relies on the caller having set
-   SO_RCVTIMEO on [fd]; without it reads block indefinitely. [chunk] is
-   the connection's read buffer, reused by every request on it: a 4 KiB
-   [Bytes.t] is too large for the minor heap. *)
-let recv_request fd chunk pending =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf !pending;
-  pending := "";
+(* Read one full request from [fd] into the connection's input buffer,
+   which may already hold bytes read past the previous request on a
+   kept-alive connection (a pipelining client's next request must not be
+   dropped) and is left holding any overrun on return: the body is the
+   one copy made. Failures carry the status to answer with (400 for
+   malformed input or a repeated Content-Length, 408 for a read timeout,
+   411 for a body framed by Transfer-Encoding, which this server does not
+   decode, 413 for oversized bodies). A timeout relies on the caller
+   having set SO_RCVTIMEO on [fd]; without it reads block indefinitely. *)
+let recv_request fd cb =
   let refill () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    cb.input <- ensure cb.input (cb.filled + 1) ~keep:cb.filled;
+    match
+      Unix.read fd cb.input cb.filled (Bytes.length cb.input - cb.filled)
+    with
     | n ->
-        if n > 0 then Buffer.add_subbytes buf chunk 0 n;
+        cb.filled <- cb.filled + n;
         n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         raise Read_timed_out
@@ -190,8 +228,8 @@ let recv_request fd chunk pending =
      in case a "\r\n\r\n" straddles the two reads, so the whole head is
      scanned once. *)
   let rec head_end from =
-    let n = Buffer.length buf in
-    match index_sub ~get:(Buffer.nth buf) n "\r\n\r\n" from with
+    let n = cb.filled in
+    match index_sub ~get:(Bytes.get cb.input) n "\r\n\r\n" from with
     | Some i -> Ok (i + 4)
     | None ->
         if n > max_head_bytes then Error (400, "request headers too large")
@@ -207,7 +245,7 @@ let recv_request fd chunk pending =
     match head_end 0 with
     | Error (status, msg) -> finish status msg
     | Ok body_start -> (
-        match parse_head (Buffer.sub buf 0 (body_start - 4)) with
+        match parse_head (Bytes.sub_string cb.input 0 (body_start - 4)) with
         | Error msg -> Fail (400, msg)
         | Ok (meth, path, headers) -> (
             (* Only Content-Length frames a body here. Reading a chunked
@@ -235,21 +273,24 @@ let recv_request fd chunk pending =
             | Error (status, msg) -> Fail (status, msg)
             | Ok len when len > max_body_bytes -> Fail (413, "body too large")
             | Ok len ->
+                let used = body_start + len in
+                cb.input <- ensure cb.input used ~keep:cb.filled;
                 let rec fill_body () =
-                  if Buffer.length buf >= body_start + len then begin
-                    let all = Buffer.contents buf in
-                    (* stash the overrun for the next request on this
-                       connection *)
-                    pending :=
-                      String.sub all (body_start + len)
-                        (String.length all - body_start - len);
-                    Req
-                      {
-                        meth;
-                        path;
-                        headers;
-                        body = String.sub all body_start len;
-                      }
+                  if cb.filled >= used then begin
+                    let body = Bytes.sub_string cb.input body_start len in
+                    (* keep the overrun for the next request on this
+                       connection, in a small buffer again after a large
+                       body *)
+                    let rest = cb.filled - used in
+                    let keep =
+                      if Bytes.length cb.input > max_head_bytes then
+                        Bytes.create (max small_buf rest)
+                      else cb.input
+                    in
+                    Bytes.blit cb.input used keep 0 rest;
+                    cb.input <- keep;
+                    cb.filled <- rest;
+                    Req { meth; path; headers; body }
                   end
                   else if refill () = 0 then Fail (400, "truncated body")
                   else fill_body ()
@@ -326,10 +367,10 @@ let wants_keep_alive (req : request) =
 (* The response-write leg, timed into the request scope and the
    [serve.request.write] span even when the peer resets mid-write (the
    EPIPE propagates once the write is recorded). *)
-let write_timed sc ~keep_alive fd (resp : response) =
+let write_timed sc cb ~keep_alive fd (resp : response) =
   Obs.Request.set_status sc resp.status;
   Obs.Request.set_bytes_out sc (String.length resp.body);
-  Obs.time Obs.Request.write (fun () -> write_response ~keep_alive fd resp)
+  Obs.time Obs.Request.write (fun () -> write_response ~keep_alive cb fd resp)
 
 (* One connection, possibly many requests: honor [Connection: keep-alive]
    up to [keepalive_limit] requests, each under the same I/O deadline.
@@ -355,14 +396,13 @@ let handle_conn ~io_timeout ~keepalive_limit t handler fd =
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO io_timeout;
         Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_timeout
       end;
-      let chunk = Bytes.create 4096 in
-      let pending = ref "" in
+      let cb = conn_buf () in
       let rec turn served =
         let keep_going =
           Obs.Request.with_scope (fun sc ->
               let received =
                 Obs.time Obs.Request.read (fun () ->
-                    recv_request fd chunk pending)
+                    recv_request fd cb)
               in
               match received with
               | Closed ->
@@ -374,7 +414,7 @@ let handle_conn ~io_timeout ~keepalive_limit t handler fd =
                       ~headers:[ ("X-Request-Id", Obs.Request.id sc) ]
                       (msg ^ "\n")
                   in
-                  write_timed sc ~keep_alive:false fd resp;
+                  write_timed sc cb ~keep_alive:false fd resp;
                   false
               | Req req ->
                   (* a request after the first means the connection was
@@ -398,7 +438,7 @@ let handle_conn ~io_timeout ~keepalive_limit t handler fd =
                         ("X-Request-Id", Obs.Request.id sc) :: resp.headers;
                     }
                   in
-                  write_timed sc ~keep_alive fd resp;
+                  write_timed sc cb ~keep_alive fd resp;
                   keep_alive)
         in
         if keep_going then turn (served + 1)
@@ -546,7 +586,7 @@ let raw_request ?(body = "") ~port ~meth path =
       | exception Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      write_all s
+      write_string s
         (Printf.sprintf
            "%s %s HTTP/1.1\r\n\
             Host: localhost\r\n\
@@ -624,7 +664,7 @@ module Client = struct
     s
 
   let request_exn ?(body = "") c ~meth path =
-    write_all c.fd
+    write_string c.fd
       (Printf.sprintf
          "%s %s HTTP/1.1\r\n\
           Host: localhost\r\n\

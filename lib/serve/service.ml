@@ -49,30 +49,6 @@ let log_stop t =
   Atomic.set t.ready false;
   Obs.Log.emit Info "serve.stop" []
 
-(* The request id rides along on every verdict object when the call runs
-   inside an [Obs.Request] scope (the HTTP path), so client-side logs
-   can be joined against server traces; the stdin feed has no request
-   and stays unchanged. *)
-let request_id_field = function
-  | None -> []
-  | Some id -> [ ("request_id", Report.Json.String id) ]
-
-let match_json ?request_id ~line (m : Cep.Detector.match_) =
-  Report.Json.Obj
-    (("type", Report.Json.String "match")
-    :: ("line", Report.Json.Int line)
-    :: request_id_field request_id
-    @ [
-        ( "tags",
-          Report.Json.Obj
-            (List.map (fun (e, tag) -> (e, Report.Json.String tag)) m.tags) );
-        ( "timestamps",
-          Report.Json.Obj
-            (List.map
-               (fun (e, ts) -> (e, Report.Json.Int ts))
-               (Events.Tuple.bindings m.tuple)) );
-      ])
-
 let overload_reason = "overloaded: shard queue full"
 
 let parse_error ~lineno reason =
@@ -81,49 +57,79 @@ let parse_error ~lineno reason =
     [ ("line", Num lineno); ("reason", Str reason) ]
 
 let ingest_line t ~lineno line =
-  match Ingest.parse_line ~lineno line with
-  | Ok None -> Ok []
-  | Error e ->
-      parse_error ~lineno:e.line e.reason;
-      Error e.reason
-  | Ok (Some { Ingest.instance; key }) -> (
-      match Shard.submit t.pool [| (key, instance) |] with
-      | Shard.Shed -> Error overload_reason
-      | Shard.Processed results -> results.(0))
+  let b =
+    Ingest.scan_line (Shard.template t.pool) line ~lineno ~on_error:parse_error
+  in
+  if Ingest.kind b 0 = Ingest.bad then Error (Ingest.reason b 0)
+  else
+    match Shard.submit t.pool b with
+    | Shard.Shed -> Error overload_reason
+    | Shard.Processed results -> results.(0)
 
-(* One POST /ingest body: reserve a block of line numbers (numbering keeps
-   counting across requests so default tags stay unique), parse every
-   line, submit the whole batch of parsed instances to the shard pool in
-   one call, and reassemble the JSONL verdicts in input order — the same
-   client contract as the sequential detector. A shed batch answers 429
-   without having applied anything, so the client may retry it wholesale. *)
+(* The verdict lines, written straight into the response. The request
+   id rides along on every verdict object when the call runs inside an
+   [Obs.Request] scope (the HTTP path), so client-side logs can be joined
+   against server traces; the stdin feed has no request and writes none. *)
+let add_head ?request_id ~kind ~line out =
+  Buffer.add_string out "{\"type\":\"";
+  Buffer.add_string out kind;
+  Buffer.add_string out "\",\"line\":";
+  Buffer.add_string out (string_of_int line);
+  match request_id with
+  | None -> ()
+  | Some id ->
+      Buffer.add_string out ",\"request_id\":";
+      Report.Json.add_string out id
+
+let add_error out ?request_id ~line reason =
+  add_head ?request_id ~kind:"error" ~line out;
+  Buffer.add_string out ",\"reason\":";
+  Report.Json.add_string out reason;
+  Buffer.add_string out "}\n"
+
+let add_match out ?request_id ~line (m : Cep.Detector.match_) =
+  let obj name add_value = function
+    | [] -> Buffer.add_string out ("," ^ name ^ ":{}")
+    | fields ->
+        Buffer.add_char out ',';
+        Buffer.add_string out name;
+        Buffer.add_string out ":{";
+        List.iteri
+          (fun i (e, v) ->
+            if i > 0 then Buffer.add_char out ',';
+            Report.Json.add_string out e;
+            Buffer.add_char out ':';
+            add_value v)
+          fields;
+        Buffer.add_char out '}'
+  in
+  add_head ?request_id ~kind:"match" ~line out;
+  obj "\"tags\"" (Report.Json.add_string out) m.tags;
+  obj "\"timestamps\""
+    (fun ts -> Buffer.add_string out (string_of_int ts))
+    (Events.Tuple.bindings m.tuple);
+  Buffer.add_string out "}\n"
+
+(* One POST /ingest body: scan every line into the batch's rows and
+   reserve a block of line numbers (numbering keeps counting across
+   requests so default tags stay unique), submit the batch to the shard
+   pool in one call, and write the JSONL verdicts in input order — the
+   same client contract as the sequential detector. A shed batch answers
+   429 without having applied anything, so the client may retry it
+   wholesale. *)
 let ingest_body t body =
   let request_id = Obs.Request.current_id () in
-  let lines = Array.of_seq (List.to_seq (String.split_on_char '\n' body)) in
-  let n = Array.length lines in
-  let base = Atomic.fetch_and_add t.next_line n in
-  (* per line: nothing to feed (blank/header), a parse error, or the
-     index of its instance in the submitted batch *)
-  let slots = Array.make n `Skip in
-  let batch = ref [] in
-  let batched = ref 0 in
-  Obs.time parse_s (fun () ->
-      for i = 0 to n - 1 do
-        match Ingest.parse_line ~lineno:(base + i) lines.(i) with
-        | Ok None -> ()
-        | Error e ->
-            parse_error ~lineno:e.line e.reason;
-            slots.(i) <- `Bad e.reason
-        | Ok (Some { Ingest.instance; key }) ->
-            slots.(i) <- `Inst !batched;
-            incr batched;
-            batch := (key, instance) :: !batch
-      done);
-  let batch = Array.of_seq (List.to_seq (List.rev !batch)) in
+  let b =
+    Obs.time parse_s (fun () ->
+        Ingest.scan_body (Shard.template t.pool) body
+          ~reserve:(Atomic.fetch_and_add t.next_line)
+          ~on_error:parse_error)
+  in
+  let base = b.base and lines = b.lines in
   match
     (* the shard-service spans, one per shard the batch touches, open
        inside [submit] as children of this one *)
-    Obs.time submit_s (fun () -> Shard.submit t.pool batch)
+    Obs.time submit_s (fun () -> Shard.submit t.pool b)
   with
   | Shard.Shed ->
       (* nothing was applied; give the line numbers back would race other
@@ -135,37 +141,24 @@ let ingest_body t body =
            (Report.Json.Obj
               (("type", Report.Json.String "error")
               :: ("reason", Report.Json.String overload_reason)
-              :: request_id_field request_id))
+              ::
+              (match request_id with
+              | None -> []
+              | Some id -> [ ("request_id", Report.Json.String id) ])))
         ^ "\n")
   | Shard.Processed results ->
       Obs.time reassemble_s (fun () ->
           let out = Buffer.create 256 in
-          let jsonl json =
-            Buffer.add_string out (Report.Json.to_string json);
-            Buffer.add_char out '\n'
-          in
-          Array.iteri
-            (fun i slot ->
-              let lineno = base + i in
-              let error reason =
-                jsonl
-                  (Report.Json.Obj
-                     (("type", Report.Json.String "error")
-                     :: ("line", Report.Json.Int lineno)
-                     :: request_id_field request_id
-                     @ [ ("reason", Report.Json.String reason) ]))
-              in
-              match slot with
-              | `Skip -> ()
-              | `Bad reason -> error reason
-              | `Inst j -> (
-                  match results.(j) with
-                  | Ok matches ->
-                      List.iter
-                        (fun m -> jsonl (match_json ?request_id ~line:lineno m))
-                        matches
-                  | Error reason -> error reason))
-            slots;
+          for i = 0 to lines - 1 do
+            let line = base + i in
+            let kind = Ingest.kind b i in
+            if kind = Ingest.bad then
+              add_error out ?request_id ~line (Ingest.reason b i)
+            else if kind > Ingest.skip then
+              match results.(i) with
+              | Ok matches -> List.iter (add_match out ?request_id ~line) matches
+              | Error reason -> add_error out ?request_id ~line reason
+          done;
           Http.response ~content_type:jsonl_content_type (Buffer.contents out))
 
 let metrics_body t =
@@ -367,10 +360,11 @@ let handle t (req : Http.request) =
         ("status", Num resp.status);
       ]
   end;
-  Obs.Log.emit Debug "serve.request"
-    [
-      ("method", Str req.meth);
-      ("path", Str req.path);
-      ("status", Num resp.status);
-    ];
+  if Obs.Log.enabled Debug then
+    Obs.Log.emit Debug "serve.request"
+      [
+        ("method", Str req.meth);
+        ("path", Str req.path);
+        ("status", Num resp.status);
+      ];
   resp

@@ -95,15 +95,17 @@ val ingest_line : t -> lineno:int -> string -> (Cep.Detector.match_ list, string
     [detector.evict] / [detector.pressure] / [ingest.error] log events as
     appropriate. *)
 
-val match_json :
-  ?request_id:string -> line:int -> Cep.Detector.match_ -> Report.Json.t
-(** The JSONL match verdict:
+val add_match :
+  Buffer.t -> ?request_id:string -> line:int -> Cep.Detector.match_ -> unit
+(** Append the JSONL match verdict, newline included:
     [{"type":"match","line":N,"tags":{...},"timestamps":{...}}] — [line]
     is the input line that completed the match, so clients can correlate
     matches to input lines across batches (errors carry the same field).
     [request_id] (stamped automatically on the HTTP ingest path from
     {!Obs.Request.current_id}) inserts a [request_id] field after
-    [line], joining the verdict to the server-side request trace. *)
+    [line], joining the verdict to the server-side request trace. The one
+    writer of the verdict: [POST /ingest] and the stdin feed both print
+    through it. *)
 
 val metrics_body : t -> string
 (** The [/metrics] payload (refresh runtime gauges, snapshot, render). *)

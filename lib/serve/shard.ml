@@ -29,6 +29,36 @@ let ingest_errors_c = Obs.counter "serve.ingest.errors"
 let matches_c = Obs.counter "serve.matches"
 let service_s = Obs.span ~buckets:Obs.latency_buckets "serve.shard.service"
 
+(* A partition key, as a range of a string. The table stores keys cut
+   out of their body once, at [pos] 0; lookups go through a shard's
+   [probe], pointed at the range in the request body, so finding a known
+   key allocates nothing. *)
+module Key = struct
+  type t = { mutable s : string; mutable pos : int; mutable len : int }
+
+  let equal a b =
+    a.len = b.len
+    &&
+    let rec go k =
+      k = a.len
+      || Char.equal
+           (String.unsafe_get a.s (a.pos + k))
+           (String.unsafe_get b.s (b.pos + k))
+         && go (k + 1)
+    in
+    go 0
+
+  (* FNV-1a over the bytes *)
+  let hash k =
+    let h = ref 0x811c9dc5 in
+    for i = k.pos to k.pos + k.len - 1 do
+      h := (!h lxor Char.code (String.unsafe_get k.s i)) * 0x100000001b3
+    done;
+    !h land max_int
+end
+
+module Keys = Hashtbl.Make (Key)
+
 type keystate = {
   det : Cep.Detector.t;
   mutable pressured : bool;
@@ -39,7 +69,8 @@ type keystate = {
 type shard = {
   index : int;
   sm : Mutex.t;  (* held while a batch feeds this shard's detectors *)
-  keys : (string, keystate) Hashtbl.t;  (* touched only under [sm] *)
+  keys : keystate Keys.t;  (* touched only under [sm] *)
+  probe : Key.t;  (* the lookup key; touched only under [sm] *)
   depth_g : Obs.gauge;
       (* the admission count itself: batches counted on this shard and
          not yet ended — waiting for [sm], running under it, on another
@@ -60,6 +91,7 @@ type outcome =
   | Shed
 
 let queue_capacity t = t.capacity
+let template t = t.tpl
 
 (* The keyless stream pins to shard 0 (not hash "") so single-detector
    compatibility is by construction, not by accident of the hash. *)
@@ -67,41 +99,72 @@ let shard_of_key t key =
   if String.equal key "" then 0
   else Hashtbl.hash key mod Array.length t.shards
 
-(* One event through one key's detector, with the same accounting the
+(* The detector of line [i]'s key, created on the key's first event. *)
+let keystate t shard (b : Ingest.batch) i =
+  let p = shard.probe in
+  let pos = Ingest.key_pos b i in
+  if pos >= 0 then begin
+    p.s <- b.body;
+    p.pos <- pos;
+    p.len <- Ingest.key_stop b i - pos
+  end
+  else begin
+    let key = Ingest.key b i in
+    p.s <- key;
+    p.pos <- 0;
+    p.len <- String.length key
+  end;
+  match Keys.find shard.keys p with
+  | ks -> ks
+  | exception Not_found ->
+      let ks = { det = Cep.Detector.of_template t.tpl; pressured = false } in
+      Keys.add shard.keys
+        { Key.s = String.sub p.s p.pos p.len; pos = 0; len = p.len }
+        ks;
+      Obs.gauge_set shard.keys_g (Keys.length shard.keys);
+      ks
+
+let ok_none = Ok []
+
+(* Per shard pass, added to the counters once, when the pass ends. *)
+type tally = { mutable fed : int; mutable lines : int; mutable matched : int }
+
+(* Event line [i] through its key's detector, with the same accounting the
    unsharded service performed: ingest counters, match/evict logging and
    the edge-triggered pressure warning (per key — each key has its own
    partial buffer and its own bound). Runs under [shard.sm]. *)
-let feed_keyed t shard ~key (inst : Cep.Detector.instance) =
-  let ks =
-    match Hashtbl.find_opt shard.keys key with
-    | Some ks -> ks
-    | None ->
-        let ks = { det = Cep.Detector.of_template t.tpl; pressured = false } in
-        Hashtbl.add shard.keys key ks;
-        Obs.gauge_set shard.keys_g (Hashtbl.length shard.keys);
-        ks
-  in
-  Obs.incr shard.events_c;
+let feed_line t shard tally (b : Ingest.batch) i =
+  let ks = keystate t shard b i in
+  let ty = Ingest.kind b i and timestamp = Ingest.timestamp b i in
+  tally.fed <- tally.fed + 1;
   let dropped0 = Cep.Detector.dropped_capacity ks.det in
-  match Cep.Detector.feed ks.det inst with
+  (* an irrelevant event only moves its key's clock: no tag is cut *)
+  let tag = if ty < 0 then "" else Ingest.tag b i in
+  match Cep.Detector.feed_type ks.det ~ty ~timestamp ~tag with
   | exception Invalid_argument reason ->
       Obs.incr ingest_errors_c;
       Obs.Log.emit Warn "ingest.error"
         [
-          ("event", Str inst.event);
-          ("timestamp", Num inst.timestamp);
+          ("event", Str (Ingest.event b i));
+          ("timestamp", Num timestamp);
           ("reason", Str reason);
         ];
       Error reason
   | matches ->
-      Obs.incr ingest_lines_c;
-      Obs.add matches_c (List.length matches);
-      if Obs.Log.enabled Info then
-        List.iter
-          (fun (m : Cep.Detector.match_) ->
-            Obs.Log.emit Info "detector.match"
-              (List.map (fun (e, tag) -> (e, Obs.Log.Str tag)) m.tags))
-          matches;
+      tally.lines <- tally.lines + 1;
+      let result =
+        match matches with
+        | [] -> ok_none
+        | _ ->
+            tally.matched <- tally.matched + List.length matches;
+            if Obs.Log.enabled Info then
+              List.iter
+                (fun (m : Cep.Detector.match_) ->
+                  Obs.Log.emit Info "detector.match"
+                    (List.map (fun (e, tag) -> (e, Obs.Log.Str tag)) m.tags))
+                matches;
+            Ok matches
+      in
       let dropped1 = Cep.Detector.dropped_capacity ks.det in
       if dropped1 > dropped0 then
         Obs.Log.emit Warn "detector.evict"
@@ -117,7 +180,7 @@ let feed_keyed t shard ~key (inst : Cep.Detector.instance) =
         end
       end
       else if live * 2 < t.max_partials then ks.pressured <- false;
-      Ok matches
+      result
 
 let create ?horizon ?(max_partials = 4096) ?(shards = 1)
     ?(queue_capacity = 64) patterns =
@@ -130,7 +193,8 @@ let create ?horizon ?(max_partials = 4096) ?(shards = 1)
       {
         index = k;
         sm = Mutex.create ();
-        keys = Hashtbl.create 16;
+        keys = Keys.create 16;
+        probe = { Key.s = ""; pos = 0; len = 0 };
         depth_g = Obs.gauge (Printf.sprintf "serve.shard.%d.queue_depth" k);
         events_c = Obs.counter (Printf.sprintf "serve.shard.%d.events" k);
         keys_g = Obs.gauge (Printf.sprintf "serve.shard.%d.keys" k);
@@ -147,29 +211,49 @@ let create ?horizon ?(max_partials = 4096) ?(shards = 1)
 
 (* One shard's share of a batch, in input order, under its lock alone:
    one shard-service span per shard, on the caller's domain and inside
-   the request's trace scope already. *)
-let feed_shard t shard route batch results =
+   the request's trace scope already. [route] is [None] when every event
+   goes to this shard. The pass's counts reach the counters when it
+   ends, also when feeding raises. *)
+let feed_shard t shard route (b : Ingest.batch) results =
+  let tally = { fed = 0; lines = 0; matched = 0 } in
   Mutex.lock shard.sm;
   Fun.protect
-    ~finally:(fun () -> Mutex.unlock shard.sm)
+    ~finally:(fun () ->
+      Obs.add shard.events_c tally.fed;
+      Obs.add ingest_lines_c tally.lines;
+      Obs.add matches_c tally.matched;
+      Mutex.unlock shard.sm)
     (fun () ->
       Obs.time service_s (fun () ->
-          Array.iteri
-            (fun i (key, inst) ->
-              if route.(i) = shard.index then
-                results.(i) <- feed_keyed t shard ~key inst)
-            batch))
+          for i = 0 to b.lines - 1 do
+            if
+              Ingest.kind b i > Ingest.skip
+              &&
+              match route with
+              | None -> true
+              | Some r -> r.(i) = shard.index
+            then results.(i) <- feed_line t shard tally b i
+          done))
 
-let submit t batch =
-  let n = Array.length batch in
-  let results = Array.make n (Ok []) in
-  if n = 0 then Processed results
+let submit t (b : Ingest.batch) =
+  let results = Array.make b.lines ok_none in
+  if b.events = 0 then Processed results
   else begin
-    let route = Array.map (fun (key, _) -> shard_of_key t key) batch in
-    let hit = Array.make (Array.length t.shards) false in
-    Array.iter (fun k -> hit.(k) <- true) route;
-    let involved =
-      List.filter (fun s -> hit.(s.index)) (Array.to_list t.shards)
+    (* one shard needs no routing; more hash each event's key once *)
+    let route, involved =
+      if Array.length t.shards = 1 then (None, [ t.shards.(0) ])
+      else begin
+        let r = Array.make b.lines 0 in
+        let hit = Array.make (Array.length t.shards) false in
+        for i = 0 to b.lines - 1 do
+          if Ingest.kind b i > Ingest.skip then begin
+            let k = shard_of_key t (Ingest.key b i) in
+            r.(i) <- k;
+            hit.(k) <- true
+          end
+        done;
+        (Some r, List.filter (fun s -> hit.(s.index)) (Array.to_list t.shards))
+      end
     in
     (* shard visibility: the access log and /debug/slow carry the shards
        a batch routes to, a shed one's too *)
@@ -191,7 +275,7 @@ let submit t batch =
         if admitted then begin
           (* [involved] is in ascending index order, the one order every
              submitter visits shards in *)
-          List.iter (fun s -> feed_shard t s route batch results) involved;
+          List.iter (fun s -> feed_shard t s route b results) involved;
           Processed results
         end
         else begin

@@ -48,7 +48,8 @@ type t
 
 type outcome =
   | Processed of (Cep.Detector.match_ list, string) result array
-      (** one slot per submitted event, in input order *)
+      (** one slot per line of the batch, in input order; a line with no
+          event keeps [Ok \[\]] *)
   | Shed
       (** some involved shard already counted [queue_capacity] batches;
           nothing was applied *)
@@ -68,19 +69,29 @@ val create :
     @raise Invalid_argument on [shards < 1], a negative capacity, or an
     invalid query (as {!Cep.Detector.create}). *)
 
-val submit : t -> (string * Cep.Detector.instance) array -> outcome
-(** Process one batch of [(key, instance)] pairs on the calling domain:
-    route every key once, note each involved shard on the current
-    request scope ({!Obs.Request.note_shard}, so a shed batch reports
-    its shards too), admit the batch all-or-nothing, then for each
-    involved shard in ascending index order hold its mutex while its
-    events are fed in input order.
+val submit : t -> Ingest.batch -> outcome
+(** Process one scanned request body on the calling domain: route every
+    event line's key once (a pool of one shard routes nothing), note each
+    involved shard on the current request scope
+    ({!Obs.Request.note_shard}, so a shed batch reports its shards too),
+    admit the batch all-or-nothing, then for each involved shard in
+    ascending index order hold its mutex while its events are fed in
+    input order. An event of a type the query ignores steps its key's
+    detector by timestamp alone ({!Cep.Detector.feed_type}); a tag is cut
+    from the body only for a relevant event. [serve.ingest.lines],
+    [serve.matches] and [serve.shard.<k>.events] are added once per shard
+    pass, when it ends.
     Every lock and admission count is given back, also when feeding
-    raises; events fed before the raise stay applied. Per-event [Error]
-    (e.g. a decreasing timestamp within a key's stream) does not abort
-    the batch. An empty batch is [Processed] without admission. *)
+    raises; events fed before the raise stay applied and counted.
+    Per-event [Error] (e.g. a decreasing timestamp within a key's stream)
+    does not abort the batch. A batch without events is [Processed]
+    without admission. *)
 
 val queue_capacity : t -> int
+
+val template : t -> Cep.Detector.template
+(** The pool's compiled query, which numbers the instance types
+    ({!Cep.Detector.type_index}) for {!Ingest.scan_body}. *)
 
 val shard_of_key : t -> string -> int
 (** The shard a key routes to: [""] pins to 0, others hash. Exposed for

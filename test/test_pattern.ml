@@ -126,6 +126,101 @@ let prop_validate_generated =
   QCheck.Test.make ~name:"generated patterns are valid" ~count:300 (Gen.pattern ())
     (fun pat -> Result.is_ok (Ast.validate pat))
 
+(* [Ast.validate] as it was, one [Event.Set] from the first event on,
+   threaded through a [Result] per node: the reference the
+   list-then-set check is compared against. *)
+let reference_validate p =
+  let ( let* ) = Result.bind in
+  let check_window { Ast.atleast; within } =
+    let check_bound = function
+      | Some a when a < 0 -> Error (Ast.Negative_bound a)
+      | Some a when a > Events.Time.max_span -> Error (Ast.Bound_above_limit a)
+      | _ -> Ok ()
+    in
+    let* () = check_bound atleast in
+    let* () = check_bound within in
+    match (atleast, within) with
+    | Some a, Some b when a > b -> Error (Ast.Inverted_window (a, b))
+    | _ -> Ok ()
+  in
+  let rec go seen = function
+    | Ast.Event e ->
+        if Events.Event.Set.mem e seen then Error (Ast.Duplicate_event e)
+        else Ok (Events.Event.Set.add e seen)
+    | Ast.Seq (ps, w) | Ast.And (ps, w) ->
+        let* () = check_window w in
+        if ps = [] then Error Ast.Empty_composition
+        else
+          List.fold_left
+            (fun acc p ->
+              let* seen = acc in
+              go seen p)
+            (Ok seen) ps
+  in
+  Result.map (fun (_ : Events.Event.Set.t) -> ()) (go Events.Event.Set.empty p)
+
+(* Patterns of a few to a few hundred events, named from pools of 10, 60
+   or 5000 names, so duplicates come early, late (past the list's 16
+   events) or not at all; now and then an empty composition or a bad
+   window. *)
+let validate_case =
+  let open QCheck.Gen in
+  let bound =
+    frequency
+      [
+        (6, return None);
+        (6, map Option.some (int_range 0 50));
+        (1, return (Some (-1)));
+        (1, return (Some (Events.Time.max_span + 1)));
+      ]
+  in
+  let window = map2 (fun atleast within -> { Ast.atleast; within }) bound bound in
+  let tree pool =
+    fix
+      (fun self depth ->
+        let leaf = map (fun i -> Ast.Event (Printf.sprintf "E%d" i)) (int_bound (pool - 1)) in
+        if depth = 0 then leaf
+        else
+          let node mk =
+            map2 (fun ps w -> mk ps w)
+              (frequency
+                 [ (1, return []); (30, list_size (int_range 1 8) (self (depth - 1))) ])
+              window
+          in
+          frequency
+            [
+              (1, leaf);
+              (3, node (fun ps w -> Ast.Seq (ps, w)));
+              (2, node (fun ps w -> Ast.And (ps, w)));
+            ])
+      3
+  in
+  oneofl [ 10; 60; 5000 ] >>= tree
+
+let prop_validate_reference =
+  QCheck.Test.make ~name:"validate = the set-based reference" ~count:1000
+    (QCheck.make ~print:Ast.to_string validate_case)
+    (fun pat -> Ast.validate pat = reference_validate pat)
+
+let test_validate_many_events () =
+  let events n = List.init n (fun i -> Ast.event (Printf.sprintf "E%d" i)) in
+  check_bool "40 distinct events" true
+    (Result.is_ok (Ast.validate (Ast.seq (events 40))));
+  check_bool "the 18th event repeats the 3rd" true
+    (Ast.validate (Ast.seq (events 17 @ [ Ast.event "E2" ]))
+    = Error (Ast.Duplicate_event "E2"));
+  check_bool "the 17th event repeats the 1st" true
+    (Ast.validate (Ast.seq (events 16 @ [ Ast.event "E0" ]))
+    = Error (Ast.Duplicate_event "E0"));
+  check_bool "the 17th event repeats the 16th" true
+    (Ast.validate (Ast.seq (events 16 @ [ Ast.event "E15" ]))
+    = Error (Ast.Duplicate_event "E15"));
+  check_bool "the 16th event repeats the 15th" true
+    (Ast.validate (Ast.seq (events 15 @ [ Ast.event "E14" ]))
+    = Error (Ast.Duplicate_event "E14"));
+  check_bool "REPEAT of 5000" true
+    (Result.is_ok (Ast.validate (p "SEQ(REPEAT(E, 5000), F)")))
+
 (* --- Matcher --- *)
 
 let test_match_event () =
@@ -199,6 +294,110 @@ let prop_shift_invariance =
 
 let qt = Gen.qt
 
+(* One malformed input per [fail] site of the parser, plus valid and
+   multi-line ones, with the exact result each gives: the message (line,
+   column and offset included) or the pattern it prints as. *)
+let pinned_parses =
+  [
+    (`Pattern, "SEQ(A, B) WITHIN 99999999999999999999",
+     "ERR parse error at line 1, column 18 (offset 17): integer literal out of range: 99999999999999999999");
+    (`Pattern, "SEQ(A, $)",
+     "ERR parse error at line 1, column 8 (offset 7): unexpected character '$'");
+    (`Pattern, "SEQ A, B)",
+     "ERR parse error at line 1, column 5 (offset 4): expected '(' but found identifier \"A\"");
+    (`Pattern, "SEQ(A, B) WITHIN 4611686018427387903 hours",
+     "ERR parse error at line 1, column 18 (offset 17): duration out of range: 4611686018427387903 hours");
+    (`Pattern, "SEQ(A, B) WITHIN x",
+     "ERR parse error at line 1, column 18 (offset 17): expected a duration but found identifier \"x\"");
+    (`Pattern, "SEQ(A, B) ATLEAST 1 ATLEAST 2",
+     "ERR parse error at line 1, column 21 (offset 20): duplicate ATLEAST");
+    (`Pattern, "SEQ(A, B) WITHIN 1 WITHIN 2",
+     "ERR parse error at line 1, column 20 (offset 19): duplicate WITHIN");
+    (`Pattern, "REPEAT(3, 2)",
+     "ERR parse error at line 1, column 8 (offset 7): REPEAT needs an event type, found number 3");
+    (`Pattern, "REPEAT(A, 0)",
+     "ERR parse error at line 1, column 11 (offset 10): REPEAT count must be >= 1, found 0");
+    (`Pattern, "REPEAT(A, B)",
+     "ERR parse error at line 1, column 11 (offset 10): REPEAT needs a count, found identifier \"B\"");
+    (`Pattern, "REPEAT(A, 2,",
+     "ERR parse error at line 1, column 7 (offset 6): expected ')' closing REPEAT");
+    (`Pattern, "SEQ(,)",
+     "ERR parse error at line 1, column 5 (offset 4): expected a pattern but found ','");
+    (`Pattern, "SEQ(A B)",
+     "ERR parse error at line 1, column 7 (offset 6): expected ',' or ')' but found identifier \"B\"");
+    (`Pattern, "A B",
+     "ERR parse error at line 1, column 3 (offset 2): expected end of input but found identifier \"B\"");
+    (`Pattern, "SEQ(A B) $",
+     "ERR parse error at line 1, column 10 (offset 9): unexpected character '$'");
+    (`Pattern, "SEQ(A,\n  B $)",
+     "ERR parse error at line 2, column 5 (offset 11): unexpected character '$'");
+    (`Pattern, "SEQ(A,\n\n   AND(B, C) WITHIN 5,\n  D E)",
+     "ERR parse error at line 4, column 5 (offset 35): expected ',' or ')' but found identifier \"E\"");
+    (`Pattern, "SEQ(A, A)",
+     "ERR invalid pattern: event A occurs twice in one pattern");
+    (`Pattern, "SEQ(A, B) ATLEAST 5 WITHIN 3",
+     "ERR invalid pattern: ATLEAST 5 WITHIN 3 requires 5 <= 3");
+    (`Pattern, "SEQ(A, B) WITHIN 1152921504606846975",
+     "ERR invalid pattern: window bound 1152921504606846975 exceeds the limit 1152921504606846974");
+    (`Pattern, "SEQ(A, B) ATLEAST 2 hours WITHIN 1 d",
+     "OK SEQ(A, B) ATLEAST 120 WITHIN 1440");
+    (`Pattern, "seq(a, And(b-1, c.2) within 5 Hours) atleast 3 MIN",
+     "OK SEQ(a, AND(b-1, c.2) WITHIN 300) ATLEAST 3");
+    (`Pattern, "REPEAT(E, 3) WITHIN 10",
+     "OK SEQ(E#1_1, E#1_2, E#1_3) WITHIN 10");
+    (`Pattern, "",
+     "ERR parse error at line 1, column 1 (offset 0): expected a pattern but found end of input");
+    (`Pattern, "SEQ(A, B) WITHIN 00000000000000000000000000000007",
+     "OK SEQ(A, B) WITHIN 7");
+    (`Pattern, "SEQ(A, B) WITHIN 4611686018427387903",
+     "ERR invalid pattern: window bound 4611686018427387903 exceeds the limit 1152921504606846974");
+    (`Pattern, "SEQ(A, B) WITHIN 4611686018427387904",
+     "ERR parse error at line 1, column 18 (offset 17): integer literal out of range: 4611686018427387904");
+    (`Pattern, "AND(SEQ(A, B), SEQ(C, A))",
+     "ERR invalid pattern: event A occurs twice in one pattern");
+    (`Pattern, "SEQ(A, B) WITHIN 5 minutes ATLEAST",
+     "ERR parse error at line 1, column 35 (offset 34): expected a duration but found end of input");
+    (`Pattern, "SEQ(A, B)) ",
+     "ERR parse error at line 1, column 10 (offset 9): expected end of input but found ')'");
+    (`Pattern, "SEQ(A, B); C",
+     "ERR parse error at line 1, column 10 (offset 9): expected end of input but found ';'");
+    (`Set, "SEQ(A, B) C",
+     "ERR parse error at line 1, column 11 (offset 10): expected ';' or end of input but found identifier \"C\"");
+    (`Set, "SEQ(A, B); AND(C, D) WITHIN 3;",
+     "OK SEQ(A, B); AND(C, D) WITHIN 3");
+    (`Set, "A;;B",
+     "ERR parse error at line 1, column 3 (offset 2): expected a pattern but found ';'");
+    (`Set, "A; B; SEQ(C, C)",
+     "ERR invalid pattern: event C occurs twice in one pattern");
+    (`Set, "SEQ(E1, E2) WITHIN 20",
+     "OK SEQ(E1, E2) WITHIN 20");
+    (`Set, "SEQ(A, B) WITHIN 5 ATLEAST 6; C",
+     "ERR invalid pattern: ATLEAST 6 WITHIN 5 requires 6 <= 5");
+    (`Set, "A; $",
+     "ERR parse error at line 1, column 4 (offset 3): unexpected character '$'");
+    (`Set, ";",
+     "ERR parse error at line 1, column 1 (offset 0): expected a pattern but found ';'");
+    (`Set, "A;\nB\n;C",
+     "OK A; B; C");
+  ]
+
+let test_parse_messages_pinned () =
+  List.iter
+    (fun (kind, input, expected) ->
+      let got =
+        match kind with
+        | `Pattern -> (
+            match Parse.pattern input with
+            | Ok p -> "OK " ^ Ast.to_string p
+            | Error m -> "ERR " ^ m)
+        | `Set -> (
+            match Parse.pattern_set input with
+            | Ok ps -> "OK " ^ String.concat "; " (List.map Ast.to_string ps)
+            | Error m -> "ERR " ^ m)
+      in
+      Alcotest.(check string) input expected got)
+    pinned_parses
+
 let suite =
   ( "pattern",
     [
@@ -209,8 +408,13 @@ let suite =
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
       Alcotest.test_case "parse error positions" `Quick test_parse_error_positions;
       Alcotest.test_case "parse pattern set" `Quick test_parse_set;
+      Alcotest.test_case "parse messages pinned" `Quick
+        test_parse_messages_pinned;
       qt prop_roundtrip;
       qt prop_validate_generated;
+      qt prop_validate_reference;
+      Alcotest.test_case "validation past 16 events" `Quick
+        test_validate_many_events;
       Alcotest.test_case "match single event" `Quick test_match_event;
       Alcotest.test_case "match SEQ order" `Quick test_match_seq;
       Alcotest.test_case "match SEQ window" `Quick test_match_seq_window;

@@ -703,6 +703,62 @@ let prop_verdict_agreement =
       && accepts Detector.Compiled = consistent
       && accepts Detector.Naive = consistent)
 
+(* {!Plan.type_index} against a linear scan with [String.equal]. Names
+   come from a small alphabet holding bytes on both sides of 0x80, so the
+   sorted arrays hold the empty name, names that are prefixes of others
+   and names that differ in a high byte; the name sought is cut from the
+   middle of a longer string, at [pos > 0] when there is a prefix. *)
+let type_index_case =
+  let open QCheck.Gen in
+  let name =
+    string_size
+      ~gen:(oneofl [ 'A'; 'B'; 'a'; '\000'; '\127'; '\128'; '\255' ])
+      (int_bound 4)
+  in
+  list_size (int_bound 10) name >>= fun names ->
+  (if names = [] then name else oneof [ name; oneofl names ]) >>= fun sought ->
+  pair name name >|= fun (before, after) -> (names, sought, before, after)
+
+let prop_type_index =
+  QCheck.Test.make ~name:"type_index = linear scan of the sorted names"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (names, sought, before, after) ->
+         Printf.sprintf "names [%s], %S in %S"
+           (String.concat "; " (List.map (Printf.sprintf "%S") names))
+           sought (before ^ sought ^ after))
+       type_index_case)
+    (fun (names, sought, before, after) ->
+      let types = Array.of_list (List.sort_uniq String.compare names) in
+      let linear =
+        let rec go i =
+          if i = Array.length types then -1
+          else if String.equal types.(i) sought then i
+          else go (i + 1)
+        in
+        go 0
+      in
+      let pos = String.length before in
+      Plan.type_index types (before ^ sought ^ after) ~pos
+        ~stop:(pos + String.length sought)
+      = linear)
+
+let test_type_index_edges () =
+  let types = [| ""; "A"; "AB"; "B"; "\128"; "\128A"; "\255" |] in
+  Array.iteri
+    (fun i name ->
+      check_int (Printf.sprintf "%S found" name) i
+        (Plan.type_index types ("x" ^ name ^ "AB") ~pos:1
+           ~stop:(1 + String.length name)))
+    types;
+  List.iter
+    (fun name ->
+      check_int (Printf.sprintf "%S absent" name) (-1)
+        (Plan.type_index types name ~pos:0 ~stop:(String.length name)))
+    [ "AA"; "ABC"; "\127"; "\128B"; "\254"; "a" ];
+  check_int "nothing in an empty array" (-1)
+    (Plan.type_index [||] "A" ~pos:0 ~stop:1)
+
 let suite =
   ( "plan",
     [
@@ -730,4 +786,7 @@ let suite =
       Alcotest.test_case "fallback exact at the limit" `Quick
         test_fallback_at_the_limit;
       Gen.qt prop_verdict_agreement;
+      Gen.qt prop_type_index;
+      Alcotest.test_case "type_index: prefixes, empty and high bytes" `Quick
+        test_type_index_edges;
     ] )

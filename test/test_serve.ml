@@ -588,7 +588,7 @@ let test_cross_shard_differential () =
                   (fun m ->
                     expected :=
                       Report.Json.to_string
-                        (Service.match_json ~line:!lineno m)
+                        (Ingest_reference.match_json ~line:!lineno m)
                       :: !expected)
                   (Cep.Detector.feed (det_for key) inst)
             | _ -> Alcotest.fail "test generated an unparseable line"
@@ -631,7 +631,8 @@ let test_shed_429 () =
   in
   let outcome =
     Shard.submit pool
-      [| ("k", { Cep.Detector.event = "A"; timestamp = 0; tag = "t" }) |]
+      (Ingest.scan_line (Shard.template pool) "A,0,t,k" ~lineno:1
+         ~on_error:(fun ~lineno:_ _ -> ()))
   in
   check_bool "capacity-0 pool sheds" true
     (match outcome with Shard.Shed -> true | Shard.Processed _ -> false);
@@ -1364,7 +1365,7 @@ let test_concurrent_submitters ~shards () =
               { Cep.Detector.event = event_of e; timestamp; tag }
             |> List.map (fun m ->
                    normalize
-                     (Report.Json.to_string (Service.match_json ~line:0 m))))
+                     (Report.Json.to_string (Ingest_reference.match_json ~line:0 m))))
           (List.concat_map (lines_of d) (List.init batches Fun.id))
       in
       check_bool "the oracle matched at all" true (expected <> []);
