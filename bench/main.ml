@@ -362,8 +362,12 @@ let bnb () =
         in
         let flat_results, flat_dt = run Explain.Modification.Flat in
         let nodes0 = counter_value "bnb.nodes_expanded" in
+        let solves0 = counter_value "simplex.solves" in
         let bnb_results, bnb_dt = run Explain.Modification.Bnb in
         let nodes = counter_value "bnb.nodes_expanded" - nodes0 in
+        (* LP solves: one per search that finds a winner, since leaves are
+           priced from their closure *)
+        let solves = counter_value "simplex.solves" - solves0 in
         (* The whole point: same optimum, same repaired tuple, on every
            instance. *)
         let same a b =
@@ -396,6 +400,7 @@ let bnb () =
           string_of_int (count * tuples_per_n);
           string_of_int nodes;
           string_of_int leaves;
+          string_of_int solves;
           E.Harness.ms flat_dt;
           E.Harness.ms bnb_dt;
           Printf.sprintf "%.1fx" (flat_dt /. bnb_dt);
@@ -409,8 +414,8 @@ let bnb () =
           tuple(s) per n)"
          tuples_per_n)
     ~header:
-      [ "n"; "|Aleph_Gamma|"; "bnb nodes"; "bnb leaves"; "flat (ms)";
-        "bnb (ms)"; "speedup" ]
+      [ "n"; "|Aleph_Gamma|"; "bnb nodes"; "bnb leaves"; "LP solves";
+        "flat (ms)"; "bnb (ms)"; "speedup" ]
     rows;
   timings := ("bnb/flat-total", !total_flat) :: !timings;
   timings := ("bnb/serial-total", !total_bnb) :: !timings;

@@ -146,6 +146,18 @@ let selected_tuples trace = function
           Printf.eprintf "no tuple %s in trace\n" id;
           exit 2)
 
+(* The repair's exact arithmetic raises instead of wrapping when a tuple's
+   timestamps are too far apart: name the tuple and exit 2. *)
+let overflow_guard cmd id f =
+  match f () with
+  | r -> r
+  | exception Whynot.Numeric.Checked.Overflow ->
+      Printf.eprintf
+        "whynot %s: tuple %s: timestamps too far apart to explain (integer \
+         overflow)\n"
+        cmd id;
+      exit 2
+
 (* --- parse --- *)
 
 let parse_cmd =
@@ -308,7 +320,8 @@ let explain_cmd =
       List.map
         (fun (id, t) ->
           let outcome =
-            Whynot.Explain.Pipeline.explain ~strategy query t
+            overflow_guard "explain" id (fun () ->
+                Whynot.Explain.Pipeline.explain ~strategy query t)
           in
           (id, t, outcome))
         (selected_tuples trace tuple_id)
@@ -373,7 +386,9 @@ let why_cmd =
         if Whynot.Pattern.Matcher.matches_set t query then
           Format.printf "%s: already matches@." id
         else
-          match Whynot.Explain.Topk.explain ~k query t with
+          match
+            overflow_guard "why" id (fun () -> Whynot.Explain.Topk.explain ~k query t)
+          with
           | None -> Format.printf "%s: query is inconsistent@." id
           | Some { candidates; blames; bindings_tried } ->
               Format.printf "%s: %d candidate explanation(s) over %d binding(s)@." id

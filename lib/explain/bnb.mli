@@ -26,10 +26,24 @@
     every prefix closure, hence admissibility. Subtrees whose bound
     reaches the incumbent are pruned; so are subtrees in which some
     event's minimal forced move to its window already exceeds its
-    plausibility bound. Each leaf solves the plain repair LP and keeps it
-    only when it is strictly cheaper than the incumbent. Once a leaf
-    repairs at cost 0, the rest of its top-level subtree is pushed and
-    pruned by the bound, and every later top-level subtree is skipped.
+    plausibility bound.
+
+    Each leaf is priced at the optimum of the plain repair LP, and becomes
+    the incumbent only when it is strictly cheaper than the incumbent. When
+    every priced event weighs 1 and none has a plausibility bound (every
+    production caller), the price is read off the leaf's closure: the
+    {e heaviest} matching of the same violated pairs, in which the origin
+    takes any number of partners. That is exact, not a bound: the LP's dual
+    is a min-cost circulation, and on the closure an optimal circulation is
+    such a matching (docs/PERFORMANCE.md, "Exact leaf prices"; the greedy
+    matching of the bound is a lower bound on it). The matching runs over
+    the leaf's active events (those with a violated pair) by a DP over
+    their subsets; a leaf with more than 12 active events, and every leaf
+    of a weighted or bounded search, solves its LP instead. When the
+    search ends, the repair LP is solved once, for the winning leaf, with
+    [repair], and its cost must equal the price. Once a leaf repairs at
+    cost 0, the rest of its top-level subtree is pushed and pruned by the
+    bound, and every later top-level subtree is skipped.
 
     The search returns {e exactly} what the flat sweep returns — the first
     binding (in {!Tcn.Bindings.full} enumeration order) attaining the
@@ -42,7 +56,10 @@ type stats = {
   nodes_expanded : int;
       (** nodes branched upon: consistent pushes that survived the bound
           checks and had their subtree explored *)
-  leaves_solved : int;  (** LP/flow solves attempted at full bindings *)
+  leaves_solved : int;
+      (** full bindings priced: by their closure's matching, or by an
+          LP/flow solve where that does not apply. The winner's one solve
+          at the end of a priced search is not a leaf. *)
   pruned_bound : int;  (** subtrees cut because lower bound >= incumbent *)
   pruned_inconsistent : int;  (** pushes refused by the incremental closure *)
   pruned_plausibility : int;
@@ -86,7 +103,20 @@ val search_prepared :
   Events.Tuple.t ->
   outcome
 (** {!search} on a prepared network: the same outcome and statistics, and
-    the same solves and pivots. *)
+    the same solves and pivots. Its scratch is per search: the [prepared]
+    value is only read. *)
+
+val leaf_price :
+  Tcn.Encode.set -> Events.Tuple.t -> Tcn.Condition.interval list -> int option
+(** [leaf_price net extended binding] is what a search with unit weights
+    and no plausibility bounds charges the leaf whose binding choices are
+    [binding] (one element of {!Tcn.Bindings.full}[ net.set_bindings]):
+    the heaviest matching of its violated pairs over its closure. It is
+    the optimum of the repair LP of [binding @ net.set_intervals]
+    (docs/PERFORMANCE.md, "Exact leaf prices"). [None] when that closure
+    is inconsistent or has more than 12 active events, where the search
+    solves the LP instead. [extended] is as for {!search}.
+    @raise Numeric.Checked.Overflow as {!search} does. *)
 
 val search :
   ?domains:int ->
@@ -100,15 +130,21 @@ val search :
 (** [search ~repair net extended] explores the binding tree of
     [net.set_bindings]. [extended] must bind every event of the network
     (artificial included — pass the result of {!Tcn.Encode.extend}).
-    [repair] is the leaf solver, typically {!Lp_repair.repair} or
-    {!Flow_repair.repair} partially applied, and every leaf solves the
-    same plain model the flat sweep solves. [weights] and [bounds] must be
-    the same functions given to the solver — the lower bound uses them,
-    and admissibility depends on the agreement. Uncached: [prepare], then
-    {!search_prepared}.
+    [repair] is the solver, typically {!Lp_repair.repair} or
+    {!Flow_repair.repair} partially applied, of the same plain model the
+    flat sweep solves: it solves the winning leaf once (and every leaf
+    that is not priced from its closure). [weights] and [bounds] must be
+    the same functions given to the solver — the lower bound and the
+    exact prices use them, and admissibility and exactness depend on the
+    agreement. Uncached: [prepare], then {!search_prepared}.
 
     [domains] must be 1 (the default): the search is serial, and the
     option stays only because the repository's benchmark passes
     [~domains:1].
     @raise Invalid_argument on [domains <> 1], a negative weight or a
-    negative bound. *)
+    negative bound.
+    @raise Numeric.Checked.Overflow when the tuple's timestamps, with 0,
+    span {!Tcn.Weight.inf} or more (the closure's "unbounded": a gap that
+    wide would read as a violated constraint that does not exist), when
+    a bound or a price leaves the native integer range, or when the
+    solver overflows. *)

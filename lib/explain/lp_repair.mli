@@ -39,10 +39,11 @@ val repair :
     repairs of cost strictly below it are wanted, so any instance whose
     optimum is [>= cutoff] returns [None] (implemented as a budget
     constraint of [cutoff - 1]; costs are integral). No caller in the
-    library passes it, and {!Bnb}'s leaf solver type has no room for it:
-    the budget row is dense, breaks the difference system's total
-    unimodularity (it is where the tableau takes fractions), and leaves
-    solve faster without it. It stays because the repository's benchmark
+    library passes it, and {!Bnb}'s solver type has no room for it: the
+    budget row is dense, breaks the difference system's total
+    unimodularity (it is where the tableau takes fractions), and a search
+    that prices its leaves from their closure solves only its winner's
+    LP, whose optimum it already knows. It stays because the repository's benchmark
     forwards it from its own repair wrapper, and the test "simplex pin:
     weighted, bounded and cutoff repairs" reads it.
     @raise Not_found if an event of the conditions is unbound.

@@ -53,7 +53,8 @@ val explain_prepared :
     reached only through {!Modification}'s [~engine:Flat]. [solver]
     (default [Lp]) is forwarded from {!explain}: no production caller
     sets it, and it stays because the repository's benchmark checks the
-    simplex's optimum against the min-cost flow's through it. *)
+    simplex's optimum against the min-cost flow's through it.
+    @raise Numeric.Checked.Overflow as {!explain} does. *)
 
 val capacity : int
 (** 8: how many prepared queries {!explain} keeps per domain. *)
@@ -72,4 +73,9 @@ val explain :
     copy is a different key, prepared afresh). Each miss bumps
     [pipeline.prepares].
     @raise Invalid_argument on invalid patterns or a tuple missing pattern
-    events. *)
+    events.
+    @raise Numeric.Checked.Overflow when the tuple's timestamps are too
+    far apart for exact arithmetic: together with 0 they span more than
+    {!Events.Time.max_span}, or a repair cost or a simplex pivot leaves
+    the native integer range. It is raised rather than wrapped into a
+    wrong explanation. *)

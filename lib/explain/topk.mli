@@ -35,4 +35,6 @@ val explain :
 (** [explain ~k patterns tuple] ranks up to [k] (default 3) distinct
     repairs over all bindings. [None] iff no binding is feasible
     (inconsistent query). The head candidate equals Algorithm 2's Full
-    optimum. @raise Invalid_argument like {!Modification.explain}. *)
+    optimum. @raise Invalid_argument like {!Modification.explain}.
+    @raise Numeric.Checked.Overflow like {!Pipeline.explain}, when the
+    tuple's timestamps are too far apart for exact arithmetic. *)

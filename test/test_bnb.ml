@@ -182,7 +182,8 @@ let test_zero_cost_short_circuit () =
    cost 0, that subtree's remaining siblings are still pushed and pruned
    by the bound, and every later top-level subtree is skipped unpushed:
    skipping the siblings too, or not skipping the later subtrees, moves
-   the pushes and the bound prunes. *)
+   the pushes and the bound prunes. The pivots are those of one LP solve
+   per search, for its winner. *)
 let test_zero_stop_pin () =
   let prng = Numeric.Prng.create 5 in
   let requests =
@@ -219,10 +220,109 @@ let test_zero_stop_pin () =
   let got = List.map2 (fun n b -> (n, counter n - b)) names before in
   Alcotest.(check (list (pair string int)))
     "work deltas"
-    (List.combine names [ 60; 51; 230; 135; 241; 67; 1158; 1722 ])
+    (List.combine names [ 60; 51; 230; 135; 241; 67; 1158; 806 ])
     got;
   Alcotest.(check string) "outcome digest" "83a4bd766558fa95f8ff61d7d3aef9d0"
     (Digest.to_hex (Digest.string (String.concat "\n" outcomes)))
+
+(* The exact leaf price. On every binding, the price the search charges
+   its leaf ([Bnb.leaf_price]) is the repair LP's optimum and the min-cost
+   flow's, and it is [None] exactly where both are (an inconsistent
+   binding): no network below has more than 12 real events, so every
+   consistent leaf is priced. A greedy matching, or an origin that takes
+   one partner only, falls below the optimum on some of these bindings. *)
+let price_agrees ?(limit = 64) net t =
+  let t = Tcn.Encode.extend net t in
+  let cost = Option.map (fun r -> r.Explain.Lp_repair.cost) in
+  Seq.for_all
+    (fun binding ->
+      let phis = binding @ net.Tcn.Encode.set_intervals in
+      match
+        ( Explain.Bnb.leaf_price net t binding,
+          cost (Explain.Lp_repair.repair t phis),
+          cost (Explain.Flow_repair.repair t phis) )
+      with
+      | Some price, Some lp, Some flow -> price = lp && price = flow
+      | None, None, None -> true
+      | _ -> false)
+    (Seq.take limit (Tcn.Bindings.full net.set_bindings))
+
+let prop_price_exact horizon =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "leaf price = LP = flow optimum (horizon %d)" horizon)
+    ~count:300
+    (Gen.pattern_and_tuple ~horizon ())
+    (fun (pat, t) -> price_agrees (Tcn.Encode.pattern_set [ pat ]) t)
+
+(* Faulted fig10 and fig11 answers up to n = 10, and the RTFM and Flight
+   sample, binding by binding. *)
+let test_price_exact_workloads () =
+  let prng = Numeric.Prng.create 17 in
+  let faulted pat =
+    Datagen.Faults.tuple prng ~rate:0.5 ~distance:400
+      (Datagen.Workloads.random_matching_tuple ~horizon:5000 prng [ pat ])
+  in
+  let cases =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun pat -> List.init 3 (fun _ -> ([ pat ], faulted pat)))
+          [ Datagen.Workloads.fig10_pattern ~n; Datagen.Workloads.fig11_pattern ~n ])
+      [ 4; 6; 8; 10 ]
+  in
+  let rtfm =
+    Datagen.Rtfm.generate prng ~tuples:60
+    |> Datagen.Faults.trace prng ~rate:0.5 ~distance:2000
+  in
+  let f4 = Datagen.Flight.generate prng ~num_events:4 ~days:8 in
+  let f6 = Datagen.Flight.generate prng ~num_events:6 ~days:2 in
+  let sample =
+    List.concat_map
+      (fun (ps, tr) -> List.map (fun (_, t) -> (ps, t)) (Events.Trace.bindings tr))
+      [ (Datagen.Rtfm.patterns, rtfm); ([ f4.pattern ], f4.observed);
+        ([ f6.pattern ], f6.observed) ]
+  in
+  List.iteri
+    (fun i (ps, t) ->
+      if not (price_agrees ~limit:max_int (Tcn.Encode.pattern_set ps) t) then
+        Alcotest.failf "case %d: price differs from the LP optimum over %a" i
+          Tuple.pp t)
+    (cases @ sample)
+
+(* On the unit-weight path a search prices its leaves and solves the LP
+   once, for its winner; a weighted search still solves every leaf. *)
+let test_one_solve_per_search () =
+  let pat = Datagen.Workloads.fig11_pattern ~n:6 in
+  let net = Tcn.Encode.pattern_set [ pat ] in
+  let prepared = Explain.Bnb.prepare net in
+  let prng = Numeric.Prng.create 7 in
+  let calls = ref 0 in
+  let repair ?weights t phis =
+    incr calls;
+    Explain.Lp_repair.repair ?weights t phis
+  in
+  let leaves = ref 0 in
+  for _ = 1 to 10 do
+    let t =
+      Tcn.Encode.extend net
+        (Datagen.Faults.tuple prng ~rate:0.5 ~distance:400
+           (Datagen.Workloads.random_matching_tuple ~horizon:5000 prng [ pat ]))
+    in
+    calls := 0;
+    let { Explain.Bnb.best; stats } =
+      Explain.Bnb.search_prepared ~repair:(repair ?weights:None) prepared t
+    in
+    check_int "one solve, for the winner" (if Option.is_none best then 0 else 1) !calls;
+    leaves := !leaves + stats.leaves_solved;
+    calls := 0;
+    let { Explain.Bnb.stats; _ } =
+      Explain.Bnb.search_prepared
+        ~repair:(repair ~weights:some_weights)
+        ~weights:some_weights prepared t
+    in
+    check_int "a weighted search solves every leaf" stats.leaves_solved !calls
+  done;
+  check_bool "more leaves priced than searches" true (!leaves > 10)
 
 (* The search is serial: [Bnb.search] keeps [?domains] for the one caller
    that passes [~domains:1], and rejects every other count. *)
@@ -256,4 +356,10 @@ let suite =
         test_zero_cost_short_circuit;
       Alcotest.test_case "zero-cost stop pin" `Quick test_zero_stop_pin;
       Alcotest.test_case "invalid domain count" `Quick test_invalid_domains;
+      Gen.qt (prop_price_exact 120);
+      Gen.qt (prop_price_exact 2000);
+      Alcotest.test_case "leaf price = LP = flow on fig10, fig11, RTFM, Flight"
+        `Quick test_price_exact_workloads;
+      Alcotest.test_case "one LP solve per unit-weight search" `Quick
+        test_one_solve_per_search;
     ] )

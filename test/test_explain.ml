@@ -338,13 +338,14 @@ let qt = Gen.qt
    Each fixed workload has two pins. Its outcome digest (costs and
    repaired tuples) says what the explanations answer, and must not move
    when only the search or the solver gets cheaper. Its work pin says how
-   much work they take: the leaves the branch-and-bound search solves,
-   and the simplex counter deltas of those solves. Bland's rule over
-   exact rationals makes every pivot deterministic, so the deltas pin the
-   pivot sequence: a different pivot rule, any changed arithmetic result,
-   or a different set of leaves moves them. The work pins were recorded
-   on the search whose bound reads the closure's pairwise distances and
-   whose leaves solve the plain repair LP. *)
+   much work they take: the leaves the branch-and-bound search prices,
+   and the simplex counter deltas of its solves. Bland's rule over exact
+   rationals makes every pivot deterministic, so the deltas pin the pivot
+   sequence: a different pivot rule, any changed arithmetic result, or a
+   different winning leaf moves them. The work pins were recorded on the
+   search whose bound reads the closure's pairwise distances, whose leaves
+   are priced exactly from their closure, and which solves the plain
+   repair LP once, for the winning leaf. *)
 
 let counter_deltas names f =
   let read () = List.map (fun n -> Option.value ~default:0 (Obs.find_counter n)) names in
@@ -370,8 +371,8 @@ let test_outcome_digest_table1 () =
   Alcotest.(check string) "outcome digest" "74fd8cefd8119c7c1f0731e4ab039aee"
     (digest_lines [ outcome_line o ])
 
-(* How much work the Table-1 explain takes: leaves solved and the pivot
-   sequence of their solves. *)
+(* How much work the Table-1 explain takes: the leaves priced and the pivot
+   sequence of the winner's one solve. *)
 let test_simplex_pin_table1 () =
   let names =
     [ "simplex.pivots"; "simplex.phase1_iters"; "simplex.phase2_iters";
@@ -385,7 +386,7 @@ let test_simplex_pin_table1 () =
       check_int "cost 44" 44 m.cost;
       check_int "leaves solved" 3 m.bindings_tried
   | _ -> Alcotest.fail "expected a timestamp modification");
-  check_deltas names [ 49; 26; 6; 42; 3; 0 ] got
+  check_deltas names [ 13; 6; 1; 12; 1; 0 ] got
 
 (* A seeded sample of the bench's explain mix: faulted RTFM cases and
    Flight days of 4 and 6 events, through [Pipeline.explain] at its
@@ -414,8 +415,8 @@ let test_outcome_digest_sample () =
   Alcotest.(check string) "outcome digest" "8aebdbca05f038554663028165c35bd8"
     (digest_lines lines)
 
-(* How much work the sample takes: the leaves each request solved, and the
-   solves' pivots. *)
+(* How much work the sample takes: the leaves each request priced, and the
+   pivots of the one solve per search. *)
 let test_simplex_pin_sample () =
   let requests = sample_requests () in
   let names = [ "simplex.pivots"; "simplex.solves" ] in
@@ -428,7 +429,7 @@ let test_simplex_pin_sample () =
             | _ -> None)
           requests)
   in
-  check_deltas names [ 1429; 127 ] got;
+  check_deltas names [ 700; 74 ] got;
   check_int "leaves solved" 127
     (List.fold_left (fun acc k -> acc + Option.value ~default:0 k) 0 tried);
   Alcotest.(check string) "leaves solved per request"

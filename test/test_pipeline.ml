@@ -238,6 +238,32 @@ let test_prepared_domains () =
         domains)
     [ ("pipeline", pipeline); ("shared prepared", modification) ]
 
+(* Timestamps too far apart for exact arithmetic raise
+   [Numeric.Checked.Overflow], on the priced path and on a weighted search
+   (which solves every leaf's LP), instead of wrapping into a wrong
+   answer. With B at 2^61 - 1 and A = C = 0 a gap exceeds the closure's
+   unbounded distance, where an unconstrained pair would read as
+   violated, so the search refuses the tuple up front. A span of
+   [Events.Time.max_span], one below that distance, is still explained. *)
+let test_overflow_raises () =
+  let q = [ p "SEQ(A, AND(B, C) WITHIN 5) WITHIN 10" ] in
+  let raises f =
+    match f () with _ -> false | exception Numeric.Checked.Overflow -> true
+  in
+  let weights e = if String.equal e "B" then 2 else 1 in
+  List.iter
+    (fun (b, c) ->
+      let t = Tuple.of_list [ ("A", 0); ("B", b); ("C", c) ] in
+      check_bool "priced: overflow" true (raises (fun () -> Pipeline.explain q t));
+      check_bool "weighted: overflow" true
+        (raises (fun () -> Explain.Modification.explain ~weights q t)))
+    [ (2305843009213693951, 0); (max_int, max_int) ];
+  let widest = Events.Time.max_span in
+  match Pipeline.explain q (Tuple.of_list [ ("A", 0); ("B", widest); ("C", 0) ]) with
+  | Pipeline.Modify_timestamps r ->
+      check_int "B moves to 5" (widest - 5) r.Explain.Modification.cost
+  | _ -> Alcotest.fail "expected a timestamp modification"
+
 let suite =
   ( "pipeline",
     [
@@ -256,4 +282,6 @@ let suite =
         test_prepared_cache;
       Alcotest.test_case "prepared: three domains, one value" `Quick
         test_prepared_domains;
+      Alcotest.test_case "far-apart timestamps raise Overflow" `Quick
+        test_overflow_raises;
     ] )

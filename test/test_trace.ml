@@ -191,11 +191,16 @@ let test_jsonl_deterministic () =
 (* The Table-1 explain as `whynot explain` runs it (a consistency check,
    then the pipeline), pinned: the event count and the digest of its
    timings-stripped JSONL. Any change to which spans open, in what order
-   and under which parent shows up here. The search solves 3 leaves and
-   cuts 4 subtrees by its bound; the trace of a search that threaded a
-   cutoff row into its leaves (207 events: 16 leaf solves and a final
-   re-solve) turns into this one by replacing each cut node's subtree
-   with one bnb.prune event and dropping the re-solve. *)
+   and under which parent shows up here. The search prices 3 leaves, cuts
+   4 subtrees by its bound and solves the winner's LP once, at its end.
+   The trace of a search that solved every leaf's LP (96 events, 3 leaf
+   solves) turns into this one by dropping the 2 superseded leaves'
+   simplex.solve subtrees (5 events each), moving the winner's to the end
+   of bnb.search (after its last bnb.* event and the pops that unwind
+   it) and renumbering the spans in the order they open. That trace in
+   turn came from one that threaded a cutoff row into its leaves (207
+   events: 16 leaf solves and a final re-solve), by replacing each cut
+   node's subtree with one bnb.prune event and dropping the re-solve. *)
 let test_table1_trace_pinned () =
   with_tracer @@ fun () ->
   ignore (Explain.Consistency.check [ p0 ]);
@@ -203,14 +208,14 @@ let test_table1_trace_pinned () =
     (Explain.Pipeline.explain ~strategy:Explain.Modification.Full [ p0 ] t2);
   let events = T.events () in
   let count p = List.length (List.filter (fun (e : T.event) -> p e.kind) events) in
-  check_int "leaf solves" 3
+  check_int "LP solves: the winner's" 1
     (count (function
       | T.Span_open { name; _ } -> String.equal name "simplex.solve"
       | _ -> false));
   check_int "bound prunes" 4
     (count (function T.Bnb_prune { reason = Bound; _ } -> true | _ -> false));
-  check_int "Table-1 explain event count" 96 (List.length events);
-  check_str "Table-1 explain JSONL digest" "a222873a3d026f6e2008b0c4ea3a835e"
+  check_int "Table-1 explain event count" 86 (List.length events);
+  check_str "Table-1 explain JSONL digest" "a3332928888bea8df6e33c571622de2c"
     (Digest.to_hex
        (Digest.string (Report.Trace_json.jsonl ~timings:false events)))
 
@@ -243,8 +248,8 @@ let test_table1_cached_trace_pinned () =
   in
   let uncached = run () in
   let cached = run () in
-  check_int "cached explain event count" 60 (List.length cached);
-  check_str "cached explain JSONL digest" "5e02781638872303f204f1af653257bf"
+  check_int "cached explain event count" 50 (List.length cached);
+  check_str "cached explain JSONL digest" "bf5ce6dbe553e8af8e9e6d4f30f8485d"
     (Digest.to_hex
        (Digest.string (Report.Trace_json.jsonl ~timings:false cached)));
   (* drop the consistency.check subtree, then Φ's pushes (the only pushes
