@@ -365,8 +365,9 @@ let bnb () =
         let solves0 = counter_value "simplex.solves" in
         let bnb_results, bnb_dt = run Explain.Modification.Bnb in
         let nodes = counter_value "bnb.nodes_expanded" - nodes0 in
-        (* LP solves: one per search that finds a winner, since leaves are
-           priced from their closure *)
+        (* LP solves: none, since leaves are priced from their closure and
+           the winner's repair is read off its closure; a leaf past 12
+           active events would solve one *)
         let solves = counter_value "simplex.solves" - solves0 in
         (* The whole point: same optimum, same repaired tuple, on every
            instance. *)

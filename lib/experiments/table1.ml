@@ -101,7 +101,7 @@ let print r =
       [ "branch-and-bound repair = swept repair"; string_of_bool r.bnb_same_repair; "-" ];
       [ "Pattern(Single) cost on t2"; string_of_int r.single_cost; "44" ];
       [ "Example 3 (simple STN) cost"; string_of_int r.example3_cost; "44" ];
-      [ "Example 5 events moved (another cost-44 optimum)";
+      [ "Example 5 events moved";
         moved (Tuple.diff t2 r.example3_repaired);
         moved (Tuple.diff t2 paper_t2') ];
       [

@@ -6,10 +6,9 @@
     paper's optimum — Example 6) over the 16 bindings that Algorithm 2's
     sweep enumerates, and the branch-and-bound engine returns the same
     repair from fewer leaves; the special-case simple-network query of
-    Example 3 repairs t2 at the same cost. Its repair moves E2 from 18:54
-    to 19:38 and keeps E4, where the paper's t2' of Example 5 moves only
-    E4, to 19:24: both match Example 3 at a cost of 44, two optima of the
-    same LP. *)
+    Example 3 repairs t2 at the same cost. Its repair is the earliest
+    optimal one, which is the paper's t2' of Example 5: only E4 moves, from
+    20:08 to 19:24. *)
 
 type result = {
   t1_matches : bool;
@@ -24,8 +23,8 @@ type result = {
   single_cost : int;
   example3_cost : int;  (** expected 44 *)
   example3_repaired : Events.Tuple.t;
-      (** the Example-3 repair of {!t2}: E2 moved from 18:54 to 19:38, E4
-          kept at 20:08 (another optimum than the paper's t2') *)
+      (** the Example-3 repair of {!t2}: E4 moved from 20:08 to 19:24, the
+          paper's t2' *)
   paper_t2'_cost : int option;
       (** [Delta(t2, t2')] of the paper's Example-5 repair (only E4 moved,
           to 19:24) if it matches {!example3}; expected [Some 44] *)

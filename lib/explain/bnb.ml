@@ -22,99 +22,20 @@ let zero_stops_c = Obs.counter "bnb.zero_stops"
 let search_s = Obs.span "bnb.search"
 let gap_h = Obs.histogram "bnb.lb_gap"
 
-(* How far the closure [inc] forces the gap t(j) - t(i) off its observed
-   value [ts.(j) - ts.(i)]: every repair t' under [inc] has
-   -d(j,i) <= t'(j) - t'(i) <= d(i,j), so the moves of i and j add up to
-   at least this much. For i = the origin it is j's distance to its
-   closure window. [observed] keeps every gap below [Tcn.Weight.inf], the
-   closure's "unbounded", and distances lie within [-inf, inf], so an
-   unbounded distance never reads as violated and nothing here wraps. *)
-let viol inc ts i j =
-  let delta = ts.(j) - ts.(i) in
-  let over = delta - Tcn.Stn_inc.distance inc i j in
-  let under = Tcn.Weight.neg (Tcn.Stn_inc.distance inc j i) - delta in
-  if over >= under then if over > 0 then over else 0
-  else if under > 0 then under else 0
-
-(* The most active events a leaf is priced over; a leaf with more solves
-   its repair LP instead. The matching's memo has 2^max_active entries. *)
-let max_active = 12
-
-let rec lowest_bit mask b = if mask land 1 = 1 then b else lowest_bit (mask lsr 1) (b + 1)
-
-(* The exact repair cost of a leaf whose priced events all weigh 1 and
-   carry no plausibility bound: the heaviest matching of the violated
-   pairs among [cand] (the leaf's grounded priced events, by closure
-   index) in which the origin [origin] takes any number of partners. It is
-   the optimum of the leaf's repair LP, whose dual is a min-cost
-   circulation that reduces to this matching on the closure
-   (docs/PERFORMANCE.md, "Exact leaf prices"). Events with no violated
-   pair add nothing, so the matching runs over the active ones only, by a
-   DP over subsets that matches the lowest unmatched event first. [None]
-   when more than [max_active] events are active. *)
-let price inc ts ~origin cand =
-  let k = Array.length cand in
-  (* pair.((a * k) + b): for a < b the violation of the pair cand.(a),
-     cand.(b); for a = b that of cand.(a) with the origin *)
-  let pair = Array.make (k * k) 0 in
-  let active = Array.make k false in
-  for a = 0 to k - 1 do
-    for b = a to k - 1 do
-      let v = viol inc ts (if a = b then origin else cand.(a)) cand.(b) in
-      if v > 0 then begin
-        pair.((a * k) + b) <- v;
-        active.(a) <- true;
-        active.(b) <- true
-      end
-    done
-  done;
-  (* act.(0 .. ka - 1): the active events, by their index in [cand] *)
-  let act = Array.make k 0 in
-  let ka = ref 0 in
-  Array.iteri
-    (fun a on ->
-      if on then begin
-        act.(!ka) <- a;
-        incr ka
-      end)
-    active;
-  let ka = !ka in
-  if ka > max_active then None
-  else begin
-    (* memo.(mask): the heaviest matching of the active events in [mask] *)
-    let memo = Array.make (1 lsl ka) (-1) in
-    let rec best mask =
-      if mask = 0 then 0
-      else if memo.(mask) >= 0 then memo.(mask)
-      else begin
-        let a = lowest_bit mask 0 in
-        let rest = mask land (mask - 1) in
-        (* [a] pairs with the origin (0 when not violated) ... *)
-        let v = ref (Checked.add pair.(act.(a) * (k + 1)) (best rest)) in
-        (* ... or with a later event of [mask] *)
-        for b = a + 1 to ka - 1 do
-          if rest land (1 lsl b) <> 0 then begin
-            let w = pair.((act.(a) * k) + act.(b)) in
-            if w > 0 then
-              v := Int.max !v (Checked.add w (best (rest lxor (1 lsl b))))
-          end
-        done;
-        memo.(mask) <- !v;
-        !v
-      end
-    in
-    Some (best ((1 lsl ka) - 1))
-  end
-
-(* An incumbent leaf: its binding path when it was priced (its repair is
-   solved once, when the search ends), or the repair its LP solve found. *)
-type incumbent = Priced of Tcn.Condition.interval array | Solved of Tuple.t
+(* An incumbent leaf: its earliest optimal repair by closure index, read
+   while its closure was live ([-1] off the leaf), or the repair its LP
+   solve found. *)
+type incumbent = Read of int array | Solved of Tuple.t
 
 (* The mutable state of the one search: the closure engine, the grounded
-   counts, the incumbent and the statistics. *)
+   counts, the violations, the incumbent and the statistics. *)
 type search = {
   inc : Tcn.Stn_inc.t;
   grounded : int array; (* per universe index: pushes grounding the event *)
+  keep : int -> bool;
+      (* per universe index: grounded, i.e. mentioned by Φ or by a choice
+         on the path *)
+  leaf : Leaf.t; (* the violations the last bound read, over [inc] *)
   path : Tcn.Condition.interval array; (* binding choice per level *)
   mutable leaf_lb : int; (* lower bound at the deepest pushed node *)
   mutable best_cost : int; (* the incumbent's; [max_int] before one *)
@@ -178,20 +99,6 @@ let prepare (net : Tcn.Encode.set) =
 
 let close p = ignore (Lazy.force p.base)
 
-(* Observed timestamps by closure index; index [Array.length ev] is the
-   origin, observed (and pinned) at 0. The bound and the prices compare
-   their gaps with closure distances, in which [Tcn.Weight.inf] means
-   unbounded: a gap that wide would read as the violation of a constraint
-   that does not exist, so such a tuple is refused as out of range. *)
-let observed ev tuple =
-  let n = Array.length ev in
-  let ts =
-    Array.init (n + 1) (fun i -> if i = n then 0 else Tuple.find tuple ev.(i))
-  in
-  let lo = Array.fold_left Int.min 0 ts and hi = Array.fold_left Int.max 0 ts in
-  if Checked.sub hi lo >= Tcn.Weight.inf then raise Checked.Overflow;
-  ts
-
 let run
     ~(repair :
         Tuple.t -> Tcn.Condition.interval list -> Lp_repair.t option)
@@ -200,7 +107,7 @@ let run
   let ngammas = Array.length choices in
   let n = Array.length ev in
   let idx e = Event.Map.find e index in
-  let ts = observed ev tuple in
+  let ts = Leaf.observed ev tuple in
   let weight_of e =
     if Event.is_artificial e then 0
     else match weights with None -> 1 | Some f -> f e
@@ -225,21 +132,20 @@ let run
       (fun i -> w_arr.(i) > 0 || bnd_arr.(i) <> None)
       (List.init n Fun.id)
   in
-  let priced_list = List.filter (fun i -> w_arr.(i) > 0) relevant in
-  let priced = Array.of_list priced_list in
-  let grounded s i = base_grounded.(i) || s.grounded.(i) > 0 in
-  (* Leaves are priced exactly from their closure when every priced event
-     weighs 1 and none has a plausibility bound; otherwise each leaf solves
-     its repair LP. *)
+  let priced = Array.of_list (List.filter (fun i -> w_arr.(i) > 0) relevant) in
+  (* Leaves are priced exactly from their closure, and the incumbent's
+     repair is read off it, when every priced event weighs 1 and none has a
+     plausibility bound; otherwise each leaf solves its repair LP. *)
   let exact_prices =
     Array.for_all (fun w -> w <= 1) w_arr && Array.for_all Option.is_none bnd_arr
   in
-  let viol inc i j = viol inc ts i j in
   (* Two admissible L1 lower bounds on every leaf below the node, over the
      grounded events only (those constrained on the current path, hence
      present in every leaf repair below it). The closure only tightens
      deeper in the tree and every leaf is feasible for every prefix
-     closure, so both hold for the whole subtree.
+     closure, so both hold for the whole subtree. Both read the violations
+     of the grounded priced events, loaded once per node into [s.leaf];
+     a leaf's price reads the same ones.
 
      The window sum: each event must move at least its distance to its
      closure window. It rarely moves, since ATLEAST and WITHIN windows are
@@ -255,25 +161,30 @@ let run
      feasible. Both sums are checked: a wrapped bound would prune the
      winner. *)
   let matching s =
+    let leaf = s.leaf in
+    let k = Leaf.size leaf in
     let pairs = ref [] in
-    Array.iteri
-      (fun a i ->
-        if grounded s i then
-          for b = a + 1 to Array.length priced - 1 do
-            let j = priced.(b) in
-            if grounded s j then begin
-              let v = viol s.inc i j in
-              if v > 0 then
-                pairs := (Checked.mul (Int.min w_arr.(i) w_arr.(j)) v, i, j) :: !pairs
-            end
-          done)
-      priced;
+    for a = 0 to k - 1 do
+      let i = Leaf.event leaf a in
+      for b = a + 1 to k - 1 do
+        let v = Leaf.violation leaf a b in
+        if v > 0 then begin
+          let j = Leaf.event leaf b in
+          pairs := (Checked.mul (Int.min w_arr.(i) w_arr.(j)) v, i, j) :: !pairs
+        end
+      done
+    done;
     match !pairs with
     | [] -> 0 (* only origin pairs: the window sum *)
     | pairs ->
-        let window acc i =
-          let v = if grounded s i then viol s.inc n i else 0 in
-          if v > 0 then (Checked.mul w_arr.(i) v, n, i) :: acc else acc
+        let rec windows acc a =
+          if a = k then acc
+          else
+            let v = Leaf.violation leaf a a in
+            let i = Leaf.event leaf a in
+            windows
+              (if v > 0 then (Checked.mul w_arr.(i) v, n, i) :: acc else acc)
+              (a + 1)
         in
         let heaviest_first (v1, i1, j1) (v2, i2, j2) =
           if v1 <> v2 then Int.compare v2 v1
@@ -290,20 +201,26 @@ let run
             end
             else total)
           0
-          (List.sort heaviest_first (Array.fold_left window pairs priced))
+          (List.sort heaviest_first (windows pairs 0))
   in
   let lower_bound s =
-    let rec windows acc = function
+    Leaf.load s.leaf s.keep;
+    (* [a] walks the loaded events, which are the grounded priced ones in
+       the same order *)
+    let rec windows acc a = function
       | [] -> Some acc
       | i :: rest ->
-          if not (grounded s i) then windows acc rest
+          if not (s.keep i) then windows acc a rest
           else
-            let move = viol s.inc n i in
+            let move, a =
+              if w_arr.(i) > 0 then (Leaf.violation s.leaf a a, a + 1)
+              else (Leaf.viol (Tcn.Stn_inc.distance s.inc) ts n i, a)
+            in
             (match bnd_arr.(i) with
             | Some r when move > r -> None
-            | _ -> windows (Checked.add acc (Checked.mul w_arr.(i) move)) rest)
+            | _ -> windows (Checked.add acc (Checked.mul w_arr.(i) move)) a rest)
     in
-    match windows 0 relevant with
+    match windows 0 0 relevant with
     | None -> None
     | Some sum -> Some (Int.max sum (matching s))
   in
@@ -313,21 +230,19 @@ let run
     s.grounded.(j) <- s.grounded.(j) + delta
   in
   (* Each leaf costs what the plain repair LP of the flat sweep costs: its
-     exact price from the closure where that applies, else the LP's
-     optimum. The leaf becomes the incumbent only if it is strictly cheaper,
-     so the winner is the flat sweep's first optimal binding. *)
+     exact price from the closure where that applies (from the violations
+     its bound just loaded), else the LP's optimum. The leaf becomes the
+     incumbent only if it is strictly cheaper, so the winner is the flat
+     sweep's first optimal binding; a priced one's earliest optimal repair
+     is read now, while its closure is live. *)
   let reach_leaf s top_idx =
     s.leaves <- s.leaves + 1;
-    let exact =
-      if exact_prices then
-        price s.inc ts ~origin:n
-          (Array.of_list (List.filter (grounded s) priced_list))
-      else None
-    in
+    let exact = if exact_prices then Leaf.price s.leaf else None in
     let leaf =
       match exact with
       | Some cost when cost < s.best_cost ->
-          Some (cost, Priced (Array.copy s.path))
+          let free i = w_arr.(i) = 0 && s.keep i in
+          Some (cost, Read (Leaf.read s.leaf ~free))
       | Some _ -> None
       | None -> (
           match repair tuple (Array.to_list s.path @ intervals) with
@@ -350,18 +265,11 @@ let run
         end
     | None -> ()
   in
-  (* The winner's repair: a priced incumbent's LP is solved here, once,
-     and must cost exactly its price. *)
   let winner s =
     match s.best with
     | None -> None
     | Some (Solved repaired) -> Some (repaired, s.best_cost)
-    | Some (Priced path) -> (
-        match repair tuple (Array.to_list path @ intervals) with
-        | Some { Lp_repair.repaired; cost; _ } ->
-            assert (cost = s.best_cost);
-            Some (repaired, cost)
-        | None -> assert false (* a consistent leaf without bounds *))
+    | Some (Read x) -> Some (Leaf.repaired ev x, s.best_cost)
   in
   (* Once a leaf of top-level subtree [zero_at] reaches cost 0, no later
      top-level subtree can win: they are skipped unpushed. The remaining
@@ -422,10 +330,14 @@ let run
             pruned_plausibility = 0;
           } )
     | Some base ->
+        let inc = Tcn.Stn_inc.copy base in
+        let counts = Array.make n 0 in
         let s =
           {
-            inc = Tcn.Stn_inc.copy base;
-            grounded = Array.make n 0;
+            inc;
+            grounded = counts;
+            keep = (fun i -> base_grounded.(i) || counts.(i) > 0);
+            leaf = Leaf.create (Tcn.Stn_inc.distance inc) ts priced;
             path =
               Array.make ngammas
                 Tcn.Condition.{ src = ""; dst = ""; lo = 0; hi = None };
@@ -479,12 +391,15 @@ let leaf_price (net : Tcn.Encode.set) tuple binding =
       let inc = Tcn.Stn_inc.copy base in
       if not (List.for_all (Tcn.Stn_inc.push inc) binding) then None
       else
-        let grounded =
+        let priced =
           Tcn.Condition.interval_events (binding @ p.intervals)
           |> Event.Set.filter (fun e -> not (Event.is_artificial e))
+          |> Event.Set.elements
+          |> List.map (fun e -> Event.Map.find e p.index)
+          |> Array.of_list
         in
-        price inc (observed p.ev tuple) ~origin:(Array.length p.ev)
-          (Array.of_list
-             (List.map
-                (fun e -> Event.Map.find e p.index)
-                (Event.Set.elements grounded)))
+        let leaf =
+          Leaf.create (Tcn.Stn_inc.distance inc) (Leaf.observed p.ev tuple) priced
+        in
+        Leaf.load leaf (fun _ -> true);
+        Leaf.price leaf

@@ -38,16 +38,21 @@
     such a matching (docs/PERFORMANCE.md, "Exact leaf prices"; the greedy
     matching of the bound is a lower bound on it). The matching runs over
     the leaf's active events (those with a violated pair) by a DP over
-    their subsets; a leaf with more than 12 active events, and every leaf
-    of a weighted or bounded search, solves its LP instead. When the
-    search ends, the repair LP is solved once, for the winning leaf, with
-    [repair], and its cost must equal the price. Once a leaf repairs at
-    cost 0, the rest of its top-level subtree is pushed and pruned by the
-    bound, and every later top-level subtree is skipped.
+    their subsets ({!Leaf}), from the violations the leaf's bound has just
+    read; a leaf with more than 12 active events, and every leaf of a
+    weighted or bounded search, solves its LP with [repair] instead. A
+    priced leaf that becomes the incumbent has its repair read off its
+    closure at once, while the closure is live: the {e earliest optimal
+    repair}, the componentwise least of the leaf's minimum-cost repairs,
+    certified optimal by {!Leaf.read}. So a unit-weight search solves no
+    LP unless some leaf has more than 12 active events. Once a leaf
+    repairs at cost 0, the rest of its top-level subtree is pushed and
+    pruned by the bound, and every later top-level subtree is skipped.
 
     The search returns {e exactly} what the flat sweep returns — the first
     binding (in {!Tcn.Bindings.full} enumeration order) attaining the
-    minimum repair cost, solved by the same deterministic solver — and the
+    minimum repair cost, and the same repair of it: the earliest optimal
+    one where leaves are priced, the solver's vertex elsewhere — and the
     property tests assert bit-identical tuples. It is one serial search on
     the calling domain, so its statistics and [bnb.*] counters are as
     deterministic as its result. *)
@@ -58,8 +63,7 @@ type stats = {
           checks and had their subtree explored *)
   leaves_solved : int;
       (** full bindings priced: by their closure's matching, or by an
-          LP/flow solve where that does not apply. The winner's one solve
-          at the end of a priced search is not a leaf. *)
+          LP/flow solve where that does not apply *)
   pruned_bound : int;  (** subtrees cut because lower bound >= incumbent *)
   pruned_inconsistent : int;  (** pushes refused by the incremental closure *)
   pruned_plausibility : int;
@@ -114,8 +118,9 @@ val leaf_price :
     the heaviest matching of its violated pairs over its closure. It is
     the optimum of the repair LP of [binding @ net.set_intervals]
     (docs/PERFORMANCE.md, "Exact leaf prices"). [None] when that closure
-    is inconsistent or has more than 12 active events, where the search
-    solves the LP instead. [extended] is as for {!search}.
+    is inconsistent or has more than {!Leaf.max_active} active events,
+    where the search solves the LP instead. [extended] is as for
+    {!search}.
     @raise Numeric.Checked.Overflow as {!search} does. *)
 
 val search :
@@ -132,8 +137,9 @@ val search :
     (artificial included — pass the result of {!Tcn.Encode.extend}).
     [repair] is the solver, typically {!Lp_repair.repair} or
     {!Flow_repair.repair} partially applied, of the same plain model the
-    flat sweep solves: it solves the winning leaf once (and every leaf
-    that is not priced from its closure). [weights] and [bounds] must be
+    flat sweep solves: it solves every leaf that is not priced from its
+    closure (a unit-weight search calls it only past 12 active events).
+    [weights] and [bounds] must be
     the same functions given to the solver — the lower bound and the
     exact prices use them, and admissibility and exactness depend on the
     agreement. Uncached: [prepare], then {!search_prepared}.

@@ -42,8 +42,8 @@ val repair :
     library passes it, and {!Bnb}'s solver type has no room for it: the
     budget row is dense, breaks the difference system's total
     unimodularity (it is where the tableau takes fractions), and a search
-    that prices its leaves from their closure solves only its winner's
-    LP, whose optimum it already knows. It stays because the repository's benchmark
+    that prices its leaves from their closure reads its winner's repair
+    off the closure and solves no LP. It stays because the repository's benchmark
     forwards it from its own repair wrapper, and the test "simplex pin:
     weighted, bounded and cutoff repairs" reads it.
     @raise Not_found if an event of the conditions is unbound.

@@ -28,6 +28,38 @@ let strip_artificial tuple =
     (fun e ts acc -> if Event.is_artificial e then acc else Tuple.add e ts acc)
     tuple Tuple.empty
 
+(* Whether leaves read their repair off their closure ({!Leaf}): every
+   real event weighs 0 or 1 and has no plausibility bound, tested per event
+   as {!Bnb} tests it. *)
+let reads_closure ?weights ?bounds events =
+  Event.Set.for_all
+    (fun e ->
+      (match weights with None -> true | Some f -> f e = 0 || f e = 1)
+      && match bounds with None -> true | Some f -> Option.is_none (f e))
+    events
+
+(* A binding's leaf read off its closure ({!Leaf}): its exact price, and
+   a function that reads its earliest optimal repair (every event of the
+   binding's network bound); [None] past [Leaf.max_active] active
+   events. *)
+let read_closure ~weight extended stn =
+  let ev = Tcn.Stn.events stn in
+  let priced =
+    Array.of_seq
+      (Seq.filter (fun i -> weight ev.(i) = 1) (Seq.init (Array.length ev) Fun.id))
+  in
+  let leaf =
+    Leaf.create (Tcn.Stn.distance_at stn) (Leaf.observed ev extended) priced
+  in
+  Leaf.load leaf (fun _ -> true);
+  Option.map
+    (fun cost ->
+      let read () =
+        Leaf.repaired ev (Leaf.read leaf ~free:(fun i -> weight ev.(i) = 0))
+      in
+      (cost, read))
+    (Leaf.price leaf)
+
 type prepared = {
   patterns : Pattern.Ast.t list option; (* checked against, when known *)
   net : Tcn.Encode.set;
@@ -103,6 +135,18 @@ let run ?(strategy = Full) ?(engine = Bnb) ?(solver = Lp)
         | Sampled _ -> Some (Hashtbl.create 16)
         | Full | Single -> None
       in
+      let reads = reads_closure ?weights ?bounds p.required in
+      let weight e =
+        if Event.is_artificial e then 0
+        else match weights with None -> 1 | Some f -> f e
+      in
+      (* The flat sweep stays the simplex's oracle: it solves every
+         binding's LP and reads only its winner off the closure. Single and
+         Sampled read each binding's price and, where it improves, its
+         repair. *)
+      let priced stn =
+        if reads && strategy <> Full then read_closure ~weight extended stn else None
+      in
       let best = ref None in
       let tried = ref 0 in
       Seq.iter
@@ -117,22 +161,39 @@ let run ?(strategy = Full) ?(engine = Bnb) ?(solver = Lp)
                   true
                 end
           in
+          let improves cost =
+            match !best with Some (_, best_cost, _) -> cost < best_cost | None -> true
+          in
           if fresh then begin
             incr tried;
             let intervals = phi_k @ net.set_intervals in
             (* An O(n^3) consistency check screens out infeasible bindings
-               before paying for an LP solve. *)
-            if not (Tcn.Stn.consistent (Tcn.Stn.of_intervals intervals)) then ()
+               before paying for a solve. *)
+            let stn = Tcn.Stn.of_intervals intervals in
+            if not (Tcn.Stn.consistent stn) then ()
             else
-              match repair extended intervals with
-              | None -> ()
-              | Some { Lp_repair.repaired; cost; _ } -> (
-                  match !best with
-                  | Some (_, best_cost) when best_cost <= cost -> ()
-                  | _ -> best := Some (repaired, cost))
+              match priced stn with
+              | Some (cost, read) ->
+                  if improves cost then best := Some (read (), cost, stn)
+              | None -> (
+                  match repair extended intervals with
+                  | None -> ()
+                  | Some { Lp_repair.repaired; cost; _ } ->
+                      if improves cost then best := Some (repaired, cost, stn))
           end)
         bindings_seq;
-      finish !best !tried (strategy = Full)
+      let best =
+        match !best with
+        | Some (repaired, cost, stn) when reads && strategy = Full -> (
+            match read_closure ~weight extended stn with
+            | Some (price, read) ->
+                assert (price = cost);
+                Some (read (), cost)
+            | None -> Some (repaired, cost))
+        | Some (repaired, cost, _) -> Some (repaired, cost)
+        | None -> None
+      in
+      finish best !tried (strategy = Full)
 
 let explain_prepared ?strategy ?engine ?solver ?seed ?weights ?bounds p tuple =
   let result =

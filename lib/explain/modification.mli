@@ -19,18 +19,31 @@
     0 marks a value as freely adjustable. The [cost] field is then the
     weighted cost. [bounds] caps each event's move (plausibility); a tuple
     whose every binding needs a move beyond its bound gets no explanation
-    ([None]) — the "does not apply" verdict of Section 1.1.2. *)
+    ([None]) — the "does not apply" verdict of Section 1.1.2.
+
+    Which optimum is returned: where every real event weighs 0 or 1 and
+    none has a bound (every production caller), the repair of the chosen
+    binding is read off its closure ({!Leaf}): the {e earliest optimal
+    repair}, the componentwise least of its minimum-cost repairs, which
+    depends on the timestamps only, not on the event names. [Bnb] reads
+    it at its winning leaf, [Flat] solves every binding's LP and reads
+    only its winner (asserting the same cost), and [Single] and [Sampled]
+    read every binding; none of them solves an LP then, except on a
+    binding with more than {!Leaf.max_active} active events. With other
+    weights or with bounds, every binding is solved by [solver] and the
+    repair is the solver's vertex. *)
 
 type strategy = Full | Single | Sampled of int
 
 type engine = Flat | Bnb
 (** How the [Full] strategy explores [Aleph_Gamma]. [Flat] is the textbook
     sweep of Algorithm 2: every binding, one Floyd–Warshall closure plus
-    one solve each; it is the tests' reference and Table 1's count of
-    bindings. [Bnb], the default, is the branch-and-bound search of
-    {!Bnb} over an incremental closure with cost-bound pruning — same
-    result, bit-identical, usually far fewer solves. [Single] and
-    [Sampled] have no binding tree; they ignore [engine]. *)
+    one solve each; it is the tests' reference (the simplex's oracle) and
+    Table 1's count of bindings. [Bnb], the default, is the
+    branch-and-bound search of {!Bnb} over an incremental closure with
+    cost-bound pruning — same result, bit-identical, usually far fewer
+    leaves, and no solve on unit weights. [Single] and [Sampled] have no
+    binding tree; they ignore [engine]. *)
 
 type solver = Lp | Flow
 

@@ -53,7 +53,11 @@ val explain_prepared :
     reached only through {!Modification}'s [~engine:Flat]. [solver]
     (default [Lp]) is forwarded from {!explain}: no production caller
     sets it, and it stays because the repository's benchmark checks the
-    simplex's optimum against the min-cost flow's through it.
+    simplex's optimum against the min-cost flow's through it. With the
+    pipeline's unit weights neither is reached unless a leaf has more
+    than {!Leaf.max_active} active events: the repair is the earliest
+    optimal one, read off the winning leaf's closure (see
+    {!Modification}).
     @raise Numeric.Checked.Overflow as {!explain} does. *)
 
 val capacity : int

@@ -78,6 +78,28 @@ let explain ?(k = 3) patterns tuple =
       (Tcn.Condition.binding_events net.set_bindings)
   in
   let inc = Tcn.Stn_inc.create (Event.Set.elements universe) in
+  let ev = Tcn.Stn_inc.events inc in
+  let n = Array.length ev in
+  let index =
+    Array.to_seqi ev
+    |> Seq.fold_left (fun acc (i, e) -> Event.Map.add e i acc) Event.Map.empty
+  in
+  (* per closure index: mentioned by Φ, or by this many pushed choices *)
+  let base = Array.make n false in
+  let counts = Array.make n 0 in
+  let mention { Tcn.Condition.src; dst; _ } f =
+    f (Event.Map.find src index);
+    f (Event.Map.find dst index)
+  in
+  List.iter (fun phi -> mention phi (fun i -> base.(i) <- true)) net.set_intervals;
+  let grounded i = base.(i) || counts.(i) > 0 in
+  (* Each consistent leaf's repair is read off its live closure ({!Leaf}):
+     the earliest optimal one, as {!Modification} answers. *)
+  let leaf =
+    Leaf.create (Tcn.Stn_inc.distance inc) (Leaf.observed ev extended)
+      (Array.of_seq
+         (Seq.filter (fun i -> not (Event.is_artificial ev.(i))) (Seq.init n Fun.id)))
+  in
   let base_ok =
     List.for_all (fun phi -> Tcn.Stn_inc.push inc phi) net.set_intervals
   in
@@ -86,9 +108,21 @@ let explain ?(k = 3) patterns tuple =
   let solve_leaf () =
     incr tried;
     let phi_k = Array.to_list path in
-    match Lp_repair.repair extended (phi_k @ net.set_intervals) with
+    Leaf.load leaf grounded;
+    let repair =
+      match Leaf.price leaf with
+      | Some cost ->
+          let free i = Event.is_artificial ev.(i) && grounded i in
+          Some (Leaf.repaired ev (Leaf.read leaf ~free), cost)
+      | None ->
+          (* past [Leaf.max_active] active events *)
+          Option.map
+            (fun { Lp_repair.repaired; cost; _ } -> (repaired, cost))
+            (Lp_repair.repair extended (phi_k @ net.set_intervals))
+    in
+    match repair with
     | None -> ()
-    | Some { repaired; cost; _ } ->
+    | Some (repaired, cost) ->
         let repaired = Tuple.union_right tuple (strip_artificial repaired) in
         candidates := { repaired; cost; binding = phi_k } :: !candidates
   in
@@ -99,7 +133,9 @@ let explain ?(k = 3) patterns tuple =
         (fun phi ->
           if Tcn.Stn_inc.push inc phi then begin
             path.(level) <- phi;
-            dfs (level + 1)
+            mention phi (fun i -> counts.(i) <- counts.(i) + 1);
+            dfs (level + 1);
+            mention phi (fun i -> counts.(i) <- counts.(i) - 1)
           end;
           Tcn.Stn_inc.pop inc)
         choices.(level)

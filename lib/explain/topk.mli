@@ -7,7 +7,13 @@
     near-minimal explanations exist and a human picks the plausible one —
     and a per-event blame summary saying how often each event is modified
     across candidate explanations (events blamed in every candidate are
-    almost certainly the imprecise ones). *)
+    almost certainly the imprecise ones).
+
+    Each consistent leaf's repair is read off its live closure, as
+    {!Modification} reads a unit-weight winner: the earliest optimal
+    repair of that binding, so blames do not depend on event names. A
+    leaf with more than {!Leaf.max_active} active events solves its
+    repair LP instead. *)
 
 type candidate = {
   repaired : Events.Tuple.t;

@@ -83,6 +83,10 @@ let distance t src dst =
   let d = t.dist.(find_index t src).(find_index t dst) in
   if d >= inf then None else Some d
 
+let distance_at t i j =
+  if not t.consistent then invalid_arg "Stn.distance_at: inconsistent network";
+  t.dist.(i).(j)
+
 let distance_matrix t evs =
   if not t.consistent then
     invalid_arg "Stn.distance_matrix: inconsistent network";

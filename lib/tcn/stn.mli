@@ -33,6 +33,13 @@ val distance : t -> Events.Event.t -> Events.Event.t -> Events.Time.t option
     @raise Invalid_argument if the network is inconsistent or an event is
     unknown. *)
 
+val distance_at : t -> int -> int -> int
+(** [distance_at t i j] is the same entry by the indices of {!events};
+    index [n = Array.length (events t)] is the origin, pinned at 0, and
+    {!Weight.inf} means unbounded, as in {!Stn_inc.distance}.
+    @raise Invalid_argument if the network is inconsistent or an index is
+    out of range. *)
+
 val distance_matrix : t -> Events.Event.t array -> int array array
 (** [distance_matrix t evs] projects the minimal network onto [evs]:
     entry [(i, j)] is the tightest upper bound on

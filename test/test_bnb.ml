@@ -182,8 +182,8 @@ let test_zero_cost_short_circuit () =
    cost 0, that subtree's remaining siblings are still pushed and pruned
    by the bound, and every later top-level subtree is skipped unpushed:
    skipping the siblings too, or not skipping the later subtrees, moves
-   the pushes and the bound prunes. The pivots are those of one LP solve
-   per search, for its winner. *)
+   the pushes and the bound prunes. Every winner's repair is read off its
+   closure, so the search pivots nowhere. *)
 let test_zero_stop_pin () =
   let prng = Numeric.Prng.create 5 in
   let requests =
@@ -220,7 +220,7 @@ let test_zero_stop_pin () =
   let got = List.map2 (fun n b -> (n, counter n - b)) names before in
   Alcotest.(check (list (pair string int)))
     "work deltas"
-    (List.combine names [ 60; 51; 230; 135; 241; 67; 1158; 806 ])
+    (List.combine names [ 60; 51; 230; 135; 241; 67; 1158; 0 ])
     got;
   Alcotest.(check string) "outcome digest" "83a4bd766558fa95f8ff61d7d3aef9d0"
     (Digest.to_hex (Digest.string (String.concat "\n" outcomes)))
@@ -289,8 +289,9 @@ let test_price_exact_workloads () =
           Tuple.pp t)
     (cases @ sample)
 
-(* On the unit-weight path a search prices its leaves and solves the LP
-   once, for its winner; a weighted search still solves every leaf. *)
+(* On the unit-weight path a search prices its leaves and reads its
+   winner's repair off the winner's closure: it solves no LP. A weighted
+   search still solves every leaf. *)
 let test_one_solve_per_search () =
   let pat = Datagen.Workloads.fig11_pattern ~n:6 in
   let net = Tcn.Encode.pattern_set [ pat ] in
@@ -312,7 +313,8 @@ let test_one_solve_per_search () =
     let { Explain.Bnb.best; stats } =
       Explain.Bnb.search_prepared ~repair:(repair ?weights:None) prepared t
     in
-    check_int "one solve, for the winner" (if Option.is_none best then 0 else 1) !calls;
+    check_int "no solve" 0 !calls;
+    check_bool "a winner" true (Option.is_some best);
     leaves := !leaves + stats.leaves_solved;
     calls := 0;
     let { Explain.Bnb.stats; _ } =
@@ -323,6 +325,119 @@ let test_one_solve_per_search () =
     check_int "a weighted search solves every leaf" stats.leaves_solved !calls
   done;
   check_bool "more leaves priced than searches" true (!leaves > 10)
+
+(* --- The earliest optimal repair ---
+
+   Every unit-weight answer is the componentwise least of the minimum-cost
+   repairs of its binding, read off the binding's closure. These check it
+   against the simplex and the min-cost flow on the same binding. *)
+
+module Event = Events.Event
+module Rat = Numeric.Rat
+
+(* The binding an answer comes from: for [Full], the flat sweep's first
+   binding (in enumeration order) of least LP cost; for [Single], the
+   single binding, when it is feasible. *)
+let answer_binding strategy net t =
+  let phis binding = binding @ net.Tcn.Encode.set_intervals in
+  let lp binding =
+    Option.map (fun r -> r.Explain.Lp_repair.cost) (Explain.Lp_repair.repair t (phis binding))
+  in
+  match strategy with
+  | Modification.Single ->
+      let binding = Tcn.Bindings.single t net.set_bindings in
+      Option.map (fun cost -> (phis binding, cost)) (lp binding)
+  | Modification.Full | Modification.Sampled _ ->
+      Seq.fold_left
+        (fun best binding ->
+          match (lp binding, best) with
+          | Some cost, Some (_, c) when cost < c -> Some (phis binding, cost)
+          | Some cost, None -> Some (phis binding, cost)
+          | _ -> best)
+        None (Tcn.Bindings.full net.set_bindings)
+
+(* The least value of [e]'s repaired timestamp over the repairs of [phis]
+   that cost at most [cost]: Formula 4's LP with a budget row and [x_e] as
+   the objective, solved by the simplex. *)
+let earliest_by_simplex t phis cost e =
+  let events = Array.of_list (Event.Set.elements (Tcn.Condition.interval_events phis)) in
+  let index e =
+    let rec go i = if Event.equal events.(i) e then i else go (i + 1) in
+    go 0
+  in
+  let u i = 2 * i and v i = (2 * i) + 1 in
+  let ts i = Tuple.find t events.(i) in
+  let m = Lp.Simplex.create () in
+  Array.iter (fun _ -> ignore (Lp.Simplex.add_var m); ignore (Lp.Simplex.add_var m)) events;
+  List.iter
+    (fun { Tcn.Condition.src; dst; lo; hi } ->
+      let s = index src and d = index dst in
+      let base = ts d - ts s in
+      let terms = [ (Rat.minus_one, u d); (Rat.one, v d); (Rat.one, u s); (Rat.minus_one, v s) ] in
+      Lp.Simplex.add_constraint m terms Lp.Simplex.Ge (Rat.of_int (lo - base));
+      Option.iter
+        (fun hi -> Lp.Simplex.add_constraint m terms Lp.Simplex.Le (Rat.of_int (hi - base)))
+        hi)
+    phis;
+  Array.iteri
+    (fun i _ ->
+      Lp.Simplex.add_constraint m [ (Rat.minus_one, u i); (Rat.one, v i) ] Lp.Simplex.Ge
+        (Rat.of_int (-ts i)))
+    events;
+  let budget =
+    List.concat
+      (List.filter_map
+         (fun i ->
+           if Event.is_artificial events.(i) then None
+           else Some [ (Rat.one, u i); (Rat.one, v i) ])
+         (List.init (Array.length events) Fun.id))
+  in
+  Lp.Simplex.add_constraint m budget Lp.Simplex.Le (Rat.of_int cost);
+  let k = index e in
+  Lp.Simplex.set_objective m [ (Rat.minus_one, u k); (Rat.one, v k) ];
+  match Lp.Simplex.solve m with
+  | Lp.Simplex.Optimal { objective; _ } -> ts k + Rat.to_int_exn objective
+  | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> Alcotest.fail "budget LP"
+
+let real_events phis =
+  Event.Set.filter (fun e -> not (Event.is_artificial e)) (Tcn.Condition.interval_events phis)
+
+(* [check strategy pat t r phis cost] on every answer of a generated case *)
+let on_answers check (pat, t) =
+  let net = Tcn.Encode.pattern_set [ pat ] in
+  let ext = Tcn.Encode.extend net t in
+  List.for_all
+    (fun strategy ->
+      match (Modification.explain ~strategy [ pat ] t, answer_binding strategy net ext) with
+      | None, None -> true
+      | Some r, Some (phis, cost) -> r.Modification.cost = cost && check ext r phis cost
+      | _ -> false)
+    [ Modification.Full; Modification.Single ]
+
+let prop_earliest_by_simplex horizon =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "answer = earliest optimum by the simplex (horizon %d)" horizon)
+    ~count:150
+    (Gen.pattern_and_tuple ~horizon ())
+    (on_answers (fun ext r phis cost ->
+         Event.Set.for_all
+           (fun e -> Tuple.find r.Modification.repaired e = earliest_by_simplex ext phis cost e)
+           (real_events phis)))
+
+let prop_below_vertices horizon =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "answer <= the LP and flow vertices (horizon %d)" horizon)
+    ~count:150
+    (Gen.pattern_and_tuple ~horizon ())
+    (on_answers (fun ext r phis _ ->
+         match (Explain.Lp_repair.repair ext phis, Explain.Flow_repair.repair ext phis) with
+         | Some lp, Some flow ->
+             Event.Set.for_all
+               (fun e ->
+                 let x = Tuple.find r.Modification.repaired e in
+                 x <= Tuple.find lp.repaired e && x <= Tuple.find flow.repaired e)
+               (real_events phis)
+         | _ -> false))
 
 (* The search is serial: [Bnb.search] keeps [?domains] for the one caller
    that passes [~domains:1], and rejects every other count. *)
@@ -362,4 +477,8 @@ let suite =
         `Quick test_price_exact_workloads;
       Alcotest.test_case "one LP solve per unit-weight search" `Quick
         test_one_solve_per_search;
+      Gen.qt (prop_earliest_by_simplex 120);
+      Gen.qt (prop_earliest_by_simplex 2000);
+      Gen.qt (prop_below_vertices 120);
+      Gen.qt (prop_below_vertices 2000);
     ] )

@@ -352,6 +352,8 @@ let test_snapshot_determinism () =
   let workload () =
     Obs.reset ();
     ignore (Explain.Pipeline.explain [ p0 ] t2);
+    (* a weighted explain: the unit-weight one above solves no LP *)
+    ignore (Explain.Modification.explain ~weights:(fun _ -> 2) [ p0 ] t2);
     ignore (Explain.Consistency.check ~strategy:Explain.Consistency.Pruned [ p0 ]);
     json_no_timers ()
   in

@@ -150,9 +150,16 @@ let t2 =
 
 let explain_workload () = ignore (Explain.Pipeline.explain [ p0 ] t2)
 
+(* The unit-weight explain above solves no LP; a weighted one solves the
+   repair LP at each leaf it does not prune. *)
+let weighted_workload () =
+  ignore
+    (Explain.Modification.explain ~weights:(fun _ -> 2) [ p0 ] t2)
+
 let test_engine_events_present () =
   with_tracer @@ fun () ->
   explain_workload ();
+  weighted_workload ();
   let names =
     List.sort_uniq compare (List.map (fun (e : T.event) -> T.kind_name e.kind) (T.events ()))
   in
@@ -192,8 +199,11 @@ let test_jsonl_deterministic () =
    then the pipeline), pinned: the event count and the digest of its
    timings-stripped JSONL. Any change to which spans open, in what order
    and under which parent shows up here. The search prices 3 leaves, cuts
-   4 subtrees by its bound and solves the winner's LP once, at its end.
-   The trace of a search that solved every leaf's LP (96 events, 3 leaf
+   4 subtrees by its bound and reads the winner's repair off its closure:
+   it solves no LP. The trace of a search that solved the winner's LP at
+   its end (86 events) turns into this one by dropping that
+   simplex.solve subtree (5 events, the last span opened). The trace of a
+   search that solved every leaf's LP (96 events, 3 leaf
    solves) turns into this one by dropping the 2 superseded leaves'
    simplex.solve subtrees (5 events each), moving the winner's to the end
    of bnb.search (after its last bnb.* event and the pops that unwind
@@ -208,14 +218,14 @@ let test_table1_trace_pinned () =
     (Explain.Pipeline.explain ~strategy:Explain.Modification.Full [ p0 ] t2);
   let events = T.events () in
   let count p = List.length (List.filter (fun (e : T.event) -> p e.kind) events) in
-  check_int "LP solves: the winner's" 1
+  check_int "LP solves: none" 0
     (count (function
       | T.Span_open { name; _ } -> String.equal name "simplex.solve"
       | _ -> false));
   check_int "bound prunes" 4
     (count (function T.Bnb_prune { reason = Bound; _ } -> true | _ -> false));
-  check_int "Table-1 explain event count" 86 (List.length events);
-  check_str "Table-1 explain JSONL digest" "a3332928888bea8df6e33c571622de2c"
+  check_int "Table-1 explain event count" 81 (List.length events);
+  check_str "Table-1 explain JSONL digest" "69a794dfb8c3437ebf087db106405f49"
     (Digest.to_hex
        (Digest.string (Report.Trace_json.jsonl ~timings:false events)))
 
@@ -248,8 +258,8 @@ let test_table1_cached_trace_pinned () =
   in
   let uncached = run () in
   let cached = run () in
-  check_int "cached explain event count" 50 (List.length cached);
-  check_str "cached explain JSONL digest" "bf5ce6dbe553e8af8e9e6d4f30f8485d"
+  check_int "cached explain event count" 45 (List.length cached);
+  check_str "cached explain JSONL digest" "cafb32421b2f8fbe5d351351de1d2aef"
     (Digest.to_hex
        (Digest.string (Report.Trace_json.jsonl ~timings:false cached)));
   (* drop the consistency.check subtree, then Φ's pushes (the only pushes
